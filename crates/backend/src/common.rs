@@ -24,18 +24,29 @@ pub struct GlobalImage {
     pub heap_base: u64,
 }
 
-/// Lays out and renders every global for the module's target.
-pub fn layout_globals(module: &Module) -> GlobalImage {
-    let cfg = module.target();
+/// Assigns every global its address under `cfg`; returns the addresses
+/// and the end of the last global — the address space a load image
+/// needs, which a loader can check against a limit before rendering
+/// (and allocating) the image itself.
+pub fn place_globals(module: &Module, cfg: &TargetConfig) -> (Vec<u64>, u64) {
     let tt = module.types();
     let mut addrs = Vec::with_capacity(module.num_globals());
     let mut cursor = GLOBAL_BASE;
     for (_, g) in module.globals() {
         let align = cfg.align_of(tt, g.value_type()).max(8);
-        cursor = (cursor + align - 1) & !(align - 1);
+        // saturating: the module may be hostile, and this sum is what
+        // the loader's limit check reads
+        cursor = cursor.saturating_add(align - 1) & !(align - 1);
         addrs.push(cursor);
-        cursor += cfg.size_of(tt, g.value_type());
+        cursor = cursor.saturating_add(cfg.size_of(tt, g.value_type()));
     }
+    (addrs, cursor)
+}
+
+/// Lays out and renders every global for the module's target.
+pub fn layout_globals(module: &Module) -> GlobalImage {
+    let cfg = module.target();
+    let (addrs, cursor) = place_globals(module, &cfg);
     let image_len = (cursor - GLOBAL_BASE) as usize;
     let mut image = vec![0u8; image_len];
     for (i, (_, g)) in module.globals().enumerate() {

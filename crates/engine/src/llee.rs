@@ -70,6 +70,16 @@ impl TargetIsa {
     /// All implementation ISAs, for code enumerating translation
     /// targets (conformance stages, kill matrices, benchmarks).
     pub const ALL: [TargetIsa; 3] = [TargetIsa::X86, TargetIsa::Sparc, TargetIsa::Riscv];
+
+    /// The target flags a module must carry to run on this processor
+    /// (§3.2).
+    pub fn target_config(self) -> llva_core::layout::TargetConfig {
+        match self {
+            TargetIsa::X86 => llva_core::layout::TargetConfig::ia32(),
+            TargetIsa::Sparc => llva_core::layout::TargetConfig::sparc_v9(),
+            TargetIsa::Riscv => llva_core::layout::TargetConfig::riscv64(),
+        }
+    }
 }
 
 impl fmt::Display for TargetIsa {
@@ -161,9 +171,10 @@ pub struct TranslationStats {
 }
 
 impl TranslationStats {
-    /// Accumulates `other` into `self` — per-run managers are ephemeral
-    /// inside the supervisor, so long-running surfaces (the serving
-    /// layer's metrics endpoint) aggregate their stats across calls.
+    /// Accumulates `other` into `self` — long-running surfaces (the
+    /// serving layer's metrics endpoint) aggregate the stats of every
+    /// manager a module has had: load-time warmup, the supervisor's
+    /// resident one, and any discarded after a panic.
     pub fn merge(&mut self, other: &TranslationStats) {
         self.functions_translated += other.functions_translated;
         self.translate_time += other.translate_time;
@@ -268,6 +279,12 @@ pub struct ExecutionManager {
     /// this ISA, probed by [`ExecutionManager::translate`] before the
     /// storage cache. Blobs decode lazily, one function at a time.
     image: Option<ImageIndex>,
+    /// What every process starts from: the rendered global
+    /// initializers (loaded at [`GLOBAL_BASE`]), where its heap begins,
+    /// and how large its address space is.
+    global_image: Vec<u8>,
+    heap_base: u64,
+    mem_size: u64,
 }
 
 /// A checksummed-and-indexed view of an attached image's native section:
@@ -294,29 +311,37 @@ impl ExecutionManager {
     }
 
     /// Creates a manager with a custom memory size.
-    pub fn with_memory_size(mut module: Module, isa: TargetIsa, mem_size: u64) -> ExecutionManager {
+    pub fn with_memory_size(module: Module, isa: TargetIsa, mem_size: u64) -> ExecutionManager {
+        let mut mgr = ExecutionManager::parked(module, isa, mem_size, PeepholeConfig::from_env());
+        mgr.start_process();
+        mgr
+    }
+
+    /// A manager holding code state only — no process has been started
+    /// on it, so it owns no simulated memory yet (see
+    /// [`Self::start_process`]).
+    pub(crate) fn parked(
+        mut module: Module,
+        isa: TargetIsa,
+        mem_size: u64,
+        peephole: PeepholeConfig,
+    ) -> ExecutionManager {
         // the module's target flags must match the processor (§3.2)
-        let target = match isa {
-            TargetIsa::X86 => llva_core::layout::TargetConfig::ia32(),
-            TargetIsa::Sparc => llva_core::layout::TargetConfig::sparc_v9(),
-            TargetIsa::Riscv => llva_core::layout::TargetConfig::riscv64(),
-        };
+        let target = isa.target_config();
         module.set_target(target);
         let image = layout_globals(&module);
-        let mut mem = Memory::new(mem_size, image.heap_base, target.endianness);
-        mem.write_bytes(GLOBAL_BASE, &image.image)
-            .expect("global image fits");
+        let mem = Memory::new(mem_size, image.heap_base, target.endianness);
         let engine = match isa {
             TargetIsa::X86 => Engine::X86 {
-                program: X86Program::new(module.num_functions(), image.addrs.clone()),
+                program: X86Program::new(module.num_functions(), image.addrs),
                 machine: X86Machine::new(mem),
             },
             TargetIsa::Sparc => Engine::Sparc {
-                program: SparcProgram::new(module.num_functions(), image.addrs.clone()),
+                program: SparcProgram::new(module.num_functions(), image.addrs),
                 machine: SparcMachine::new(mem),
             },
             TargetIsa::Riscv => Engine::Riscv {
-                program: RiscvProgram::new(module.num_functions(), image.addrs.clone()),
+                program: RiscvProgram::new(module.num_functions(), image.addrs),
                 machine: RiscvMachine::new(mem),
             },
         };
@@ -338,9 +363,54 @@ impl ExecutionManager {
             func_cache,
             func_names,
             fuel: 10_000_000_000,
-            peephole: PeepholeConfig::from_env(),
+            peephole,
             image: None,
+            global_image: image.image,
+            heap_base: image.heap_base,
+            mem_size,
         }
+    }
+
+    /// Starts a fresh process on the resident code: new simulated
+    /// memory holding the load image, a new processor (registers,
+    /// stack, [`ExecStats`]) and a new [`Env`] (I/O, privileged bit,
+    /// trap handlers, virtual clock). The module, installed
+    /// translations, cache and image attachments and
+    /// [`TranslationStats`] carry over — translate once, run many
+    /// (§4.1). Nothing the previous process did is observable to the
+    /// next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the module's global image does not fit in the
+    /// address space this manager was created with.
+    pub fn start_process(&mut self) {
+        self.end_process();
+        let mem = match &mut self.engine {
+            Engine::X86 { machine, .. } => &mut machine.mem,
+            Engine::Sparc { machine, .. } => &mut machine.mem,
+            Engine::Riscv { machine, .. } => &mut machine.mem,
+        };
+        mem.write_bytes(GLOBAL_BASE, &self.global_image)
+            .expect("global image fits");
+    }
+
+    /// Drops the current process (memory, processor state, [`Env`]),
+    /// leaving the manager holding code only: a parked manager costs
+    /// its translations, not an address space. [`Self::start_process`]
+    /// must precede the next [`Self::run`].
+    pub fn end_process(&mut self) {
+        let mem = Memory::new(
+            self.mem_size,
+            self.heap_base,
+            self.module.target().endianness,
+        );
+        match &mut self.engine {
+            Engine::X86 { machine, .. } => *machine = X86Machine::new(mem),
+            Engine::Sparc { machine, .. } => *machine = SparcMachine::new(mem),
+            Engine::Riscv { machine, .. } => *machine = RiscvMachine::new(mem),
+        }
+        self.env = Env::new();
     }
 
     /// Enables or disables the shared peephole pass for all future
@@ -421,7 +491,7 @@ impl ExecutionManager {
             Engine::Sparc { machine, .. } => &machine.mem,
             Engine::Riscv { machine, .. } => &machine.mem,
         };
-        mem.read_bytes(addr, len).ok().map(<[u8]>::to_vec)
+        mem.read_bytes(addr, len).ok()
     }
 
     /// The relocated address of a global (profiling support).
@@ -1226,6 +1296,14 @@ fn compile_batch<T: Send>(
             .map(|r| r.expect("every work item compiled"))
             .collect()
     })
+}
+
+/// The address space `module`'s load image occupies on `isa`, null
+/// page included — what a loader holds against its memory limit
+/// *before* building an executor, whose constructors treat an image
+/// that does not fit as a bug.
+pub fn load_image_end(module: &Module, isa: TargetIsa) -> u64 {
+    llva_backend::common::place_globals(module, &isa.target_config()).1
 }
 
 use crate::codec::{fnv1a, FNV_OFFSET};

@@ -1035,7 +1035,7 @@ impl<'m> FastInterpreter<'m> {
             self.pre.module().target().endianness,
             llva_core::layout::Endianness::Big
         );
-        crate::profile::decode_counters(bytes, map.len, big)
+        crate::profile::decode_counters(&bytes, map.len, big)
     }
 
     pub fn trace_stats(&self) -> Option<TraceStats> {

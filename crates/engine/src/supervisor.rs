@@ -43,6 +43,7 @@ use crate::predecode::FastInterpreter;
 use crate::traced::TraceConfig;
 use crate::storage::Storage;
 use crate::InterpError;
+use llva_backend::PeepholeConfig;
 use llva_core::module::Module;
 use llva_machine::common::TrapKind;
 use std::cell::Cell;
@@ -519,12 +520,24 @@ pub struct Supervisor {
     kills: Vec<TierKill>,
     max_faults: u32,
     probe_after: Option<u32>,
-    storage: Option<(Box<dyn Storage>, String)>,
+    /// The translated rung's executor: built on first use and kept for
+    /// the supervisor's lifetime, so code is translated (or attached)
+    /// once, not once per call. Between runs it is parked — no process,
+    /// no simulated memory. `None` before the first translated run and
+    /// after a panic unwound through it (its state is then suspect, so
+    /// the next attempt builds a new one).
+    manager: Option<ExecutionManager>,
+    /// Storage waiting for a manager to own it, and the cache it names.
+    storage: Option<Box<dyn Storage>>,
+    cache_name: String,
+    /// Read from the environment once, here, not per manager.
+    peephole: PeepholeConfig,
     quarantine: BTreeSet<(String, Tier)>,
     fault_counts: BTreeMap<(String, Tier), u32>,
     probe_successes: BTreeMap<(String, Tier), u32>,
     log: IncidentLog,
     counters: [TierCounters; 4],
+    /// Translation statistics of managers already discarded.
     translation: crate::llee::TranslationStats,
     /// Warm-load fast path: a persistent module image probed before
     /// any tier lowers or translates (shared across tiers and runs).
@@ -568,7 +581,10 @@ impl Supervisor {
             kills: Vec::new(),
             max_faults: 1,
             probe_after: None,
+            manager: None,
             storage: None,
+            cache_name: String::new(),
+            peephole: PeepholeConfig::from_env(),
             quarantine: BTreeSet::new(),
             fault_counts: BTreeMap::new(),
             probe_successes: BTreeMap::new(),
@@ -593,6 +609,9 @@ impl Supervisor {
     pub fn set_image(&mut self, image: std::sync::Arc<crate::image::LlvaImage>) -> bool {
         if crate::llee::stamp(&self.module) != image.stamp() {
             return false;
+        }
+        if let Some(mgr) = &mut self.manager {
+            mgr.set_image(image.clone());
         }
         self.image = Some(image);
         true
@@ -654,13 +673,18 @@ impl Supervisor {
         self.log.set_capacity(capacity);
     }
 
-    /// Translation/cache statistics accumulated across every run's
-    /// translated tier (per-run [`crate::llee::ExecutionManager`]s are
-    /// ephemeral; this is the long-running aggregate a service surfaces
-    /// as metrics).
+    /// Translation/cache statistics of the translated tier over this
+    /// supervisor's lifetime: the resident [`ExecutionManager`]'s, plus
+    /// those of any manager discarded after a panic. A function is
+    /// translated (or installed from the image or cache) once per
+    /// manager, however many calls it then serves.
     #[must_use]
     pub fn translation_stats(&self) -> crate::llee::TranslationStats {
-        self.translation
+        let mut stats = self.translation;
+        if let Some(mgr) = &self.manager {
+            stats.merge(&mgr.stats());
+        }
+        stats
     }
 
     /// Arms a fault-injection kill (additive; see [`kills_from_env`]).
@@ -677,12 +701,19 @@ impl Supervisor {
     /// (retry-with-backoff and validation happen inside
     /// [`ExecutionManager`]; see `llee`).
     pub fn set_storage(&mut self, storage: Box<dyn Storage>, cache: &str) {
-        self.storage = Some((storage, cache.to_string()));
+        self.cache_name = cache.to_string();
+        match &mut self.manager {
+            Some(mgr) => mgr.set_storage(storage, cache),
+            None => self.storage = Some(storage),
+        }
     }
 
     /// Detaches and returns the storage.
     pub fn take_storage(&mut self) -> Option<Box<dyn Storage>> {
-        self.storage.take().map(|(s, _)| s)
+        match &mut self.manager {
+            Some(mgr) => mgr.take_storage(),
+            None => self.storage.take(),
+        }
     }
 
     /// The incident log (append-only, deterministic).
@@ -768,22 +799,28 @@ impl Supervisor {
         // at most one quarantined pair gets its one-shot probe per run
         let mut probe_spent = false;
         for (rung, &tier) in Tier::LADDER.iter().enumerate() {
-            let key = (entry.to_string(), tier);
-            let mut probing = false;
-            if self.quarantine.contains(&key) {
-                let due = !probe_spent
-                    && self.probe_after.is_some_and(|n| {
-                        self.probe_successes.get(&key).copied().unwrap_or(0) >= n
-                    });
-                if !due {
-                    self.counters[tier.index()].skipped_quarantined += 1;
-                    degraded = true;
-                    continue;
+            // the pair's key, built only when this rung is a quarantine
+            // probe: the set is almost always empty, and a healthy call
+            // should not allocate to find that out
+            let mut probe_key = None;
+            if !self.quarantine.is_empty() {
+                let key = (entry.to_string(), tier);
+                if self.quarantine.contains(&key) {
+                    let due = !probe_spent
+                        && self.probe_after.is_some_and(|n| {
+                            self.probe_successes.get(&key).copied().unwrap_or(0) >= n
+                        });
+                    if !due {
+                        self.counters[tier.index()].skipped_quarantined += 1;
+                        degraded = true;
+                        continue;
+                    }
+                    probe_spent = true;
+                    self.counters[tier.index()].probes += 1;
+                    probe_key = Some(key);
                 }
-                probing = true;
-                probe_spent = true;
-                self.counters[tier.index()].probes += 1;
             }
+            let probing = probe_key.is_some();
             let is_final = rung == Tier::LADDER.len() - 1;
             let budget = if is_final {
                 self.fuel
@@ -802,10 +839,10 @@ impl Supervisor {
                     );
                     incidents_this_run += 1;
                     self.record_fault(tier, entry, cause, injected, probing);
-                    if probing {
+                    if let Some(key) = probe_key {
                         // a failed probe re-quarantines; the pair must
                         // earn a fresh run of successes before the next
-                        self.probe_successes.insert(key.clone(), 0);
+                        self.probe_successes.insert(key, 0);
                     }
                     degraded = true;
                     continue;
@@ -837,15 +874,15 @@ impl Supervisor {
                         value_killed,
                         probing,
                     );
-                    if probing {
-                        self.probe_successes.insert(key.clone(), 0);
+                    if let Some(key) = probe_key {
+                        self.probe_successes.insert(key, 0);
                     }
                     degraded = true;
                     continue;
                 }
             }
             self.counters[tier.index()].served += 1;
-            if probing {
+            if let Some(key) = probe_key {
                 // the probe passed: lift the quarantine, forget the
                 // fault history, and log the recovery
                 let retries = *self.fault_counts.get(&key).unwrap_or(&0);
@@ -950,6 +987,36 @@ impl Supervisor {
         })
     }
 
+    /// The translated rung's manager, built (parked, with the storage
+    /// and image attached so far) if there is none.
+    fn resident_manager(&mut self) -> &mut ExecutionManager {
+        self.manager.get_or_insert_with(|| {
+            let mut mgr = ExecutionManager::parked(
+                self.module.clone(),
+                self.isa,
+                self.memory_size,
+                self.peephole,
+            );
+            if let Some(storage) = self.storage.take() {
+                mgr.set_storage(storage, &self.cache_name);
+            }
+            if let Some(image) = &self.image {
+                mgr.set_image(image.clone());
+            }
+            mgr
+        })
+    }
+
+    /// Drops a manager a panic unwound through — whatever it was in the
+    /// middle of is suspect — keeping its counters and its storage for
+    /// the one the next translated run builds.
+    fn discard_manager(&mut self) {
+        if let Some(mut mgr) = self.manager.take() {
+            self.translation.merge(&mgr.stats());
+            self.storage = mgr.take_storage();
+        }
+    }
+
     /// Executes one tier under `catch_unwind` with `budget` steps.
     fn execute_tier(
         &mut self,
@@ -962,34 +1029,23 @@ impl Supervisor {
         let watchdog_armed = budget < self.fuel;
         match tier {
             Tier::Translated => {
-                let mut mgr = ExecutionManager::with_memory_size(
-                    self.module.clone(),
-                    self.isa,
-                    self.memory_size,
-                );
-                let cache = self.storage.as_ref().map(|(_, c)| c.clone());
-                if let (Some((storage, _)), Some(cache)) = (self.storage.take(), &cache) {
-                    mgr.set_storage(storage, cache);
-                }
-                if let Some(image) = &self.image {
-                    mgr.set_image(image.clone());
-                }
+                let mgr = self.resident_manager();
                 mgr.set_fuel(budget);
                 let result = catch_quiet(AssertUnwindSafe(|| {
                     if kill == Some(KillMode::Panic) {
                         panic!("injected tier kill: translated");
                     }
+                    mgr.start_process();
                     mgr.run(entry, args)
                 }));
-                // the manager survives the closure, so the storage comes
-                // back even when the tier panicked mid-run
-                if let Some(cache) = cache {
-                    if let Some(storage) = mgr.take_storage() {
-                        self.storage = Some((storage, cache));
-                    }
-                }
                 let steps = mgr.exec_stats().instructions;
-                self.translation.merge(&mgr.stats());
+                if result.is_ok() {
+                    // a parked supervisor holds code, not a used
+                    // address space
+                    mgr.end_process();
+                } else {
+                    self.discard_manager();
+                }
                 match result {
                     Ok(Ok(out)) => TierRun::Done(TierOutcome::Value(out.value), steps),
                     Ok(Err(EngineError::Trapped(t))) => {

@@ -280,3 +280,284 @@ fn out_of_fuel_is_an_outcome_not_an_incident() {
     assert!(sup.incident_log().is_empty());
     assert!(sup.quarantined().is_empty());
 }
+
+// ---------------------------------------------------------------------------
+// Call isolation on the resident manager: the supervisor keeps one
+// `ExecutionManager` (translated code) for its lifetime and starts a
+// fresh process on it per run, so no call may see anything an earlier
+// call did.
+// ---------------------------------------------------------------------------
+
+/// `stateful` folds everything a leaked process would change into its
+/// return value: a global it bumps, the first word of a heap block (zero
+/// on a fresh heap) which it then overwrites, the block's address (moves
+/// if the heap break carried over) and the virtual clock. `boom` dirties
+/// the global and then traps; `spin` burns steps.
+const STATEFUL: &str = r#"
+@counter = global int 5
+
+declare sbyte* %llva.heap.alloc(ulong)
+declare ulong %llva.clock()
+
+int %stateful(int %n) {
+entry:
+    br label %loop
+loop:
+    %i = phi int [ 0, %entry ], [ %i1, %loop ]
+    %v = load int* @counter
+    %v1 = add int %v, %i
+    store int %v1, int* @counter
+    %i1 = add int %i, 1
+    %done = seteq int %i1, %n
+    br bool %done, label %out, label %loop
+out:
+    %p = call sbyte* %llva.heap.alloc(ulong 64)
+    %ip = cast sbyte* %p to int*
+    %old = load int* %ip
+    store int %n, int* %ip
+    %addr = cast sbyte* %p to int
+    %t = call ulong %llva.clock()
+    %ti = cast ulong %t to int
+    %g = load int* @counter
+    %a = add int %g, %addr
+    %b = add int %a, %old
+    %c = add int %b, %ti
+    ret int %c
+}
+
+int %boom(int %d) {
+entry:
+    store int 1000, int* @counter
+    %p = call sbyte* %llva.heap.alloc(ulong 4096)
+    %q = div int 7, %d
+    ret int %q
+}
+
+int %spin(int %n) {
+entry:
+    store int 2000, int* @counter
+    br label %loop
+loop:
+    %i = phi int [ 0, %entry ], [ %i1, %loop ]
+    %i1 = add int %i, 1
+    %done = seteq int %i1, %n
+    br bool %done, label %out, label %loop
+out:
+    ret int %i1
+}
+
+int %other() {
+entry:
+    ret int 9
+}
+"#;
+
+fn stateful_module() -> llva_core::module::Module {
+    llva_core::parser::parse_module(STATEFUL).expect("parses")
+}
+
+/// What a brand-new supervisor answers for `stateful(20)`: the value
+/// and the step count every later call must reproduce.
+fn fresh_answer(isa: TargetIsa) -> (TierOutcome, u64) {
+    let mut sup = Supervisor::new(stateful_module(), isa);
+    let run = sup.run("stateful", &[20]).expect("runs");
+    assert_eq!(run.tier, Tier::Translated, "{isa}");
+    (run.outcome, run.steps)
+}
+
+fn assert_fresh(sup: &mut Supervisor, isa: TargetIsa, after: &str) {
+    let run = sup.run("stateful", &[20]).expect("runs");
+    assert_eq!(run.tier, Tier::Translated, "{isa} after {after}");
+    assert_eq!(
+        (run.outcome, run.steps),
+        fresh_answer(isa),
+        "{isa}: a call after {after} saw state a fresh process would not"
+    );
+}
+
+#[test]
+fn every_call_on_a_resident_manager_starts_a_fresh_process() {
+    for isa in TargetIsa::ALL {
+        let mut sup = Supervisor::new(stateful_module(), isa);
+        for call in 1..=5 {
+            assert_fresh(&mut sup, isa, &format!("{} earlier call(s)", call - 1));
+        }
+        // the code, unlike the process, is resident: one translation of
+        // the one function reached, however many calls it served
+        let t = sup.translation_stats();
+        assert_eq!(
+            t.functions_translated, 1,
+            "{isa}: translated once per supervisor"
+        );
+
+        // after a trap that first dirtied the global and the heap
+        let run = sup.run("boom", &[0]).expect("answers");
+        assert_eq!(
+            run.outcome,
+            TierOutcome::Trap(llva_machine::TrapKind::DivideByZero)
+        );
+        assert_eq!(run.tier, Tier::Translated, "{isa}");
+        assert_fresh(&mut sup, isa, "a trap");
+
+        // after genuine fuel exhaustion mid-loop
+        sup.set_fuel(500);
+        let run = sup.run("spin", &[1_000_000]).expect("answers");
+        assert_eq!(run.outcome, TierOutcome::OutOfFuel, "{isa}");
+        sup.set_fuel(10_000_000_000);
+        assert_fresh(&mut sup, isa, "OutOfFuel");
+
+        // after a watchdog expiry (a fault of `spin`'s fast tiers, so
+        // `stateful` keeps the translated rung)
+        sup.set_watchdog(500);
+        let run = sup.run("spin", &[100_000]).expect("interp finishes");
+        assert_eq!(run.tier, Tier::Interp, "{isa}");
+        assert!(sup.is_quarantined("spin", Tier::Translated), "{isa}");
+        sup.set_watchdog(u64::MAX);
+        assert_fresh(&mut sup, isa, "a watchdog expiry");
+        assert_eq!(
+            sup.translation_stats().functions_translated,
+            3,
+            "{isa}: stateful, boom and spin, each translated once"
+        );
+
+        // after an injected panic: the manager it unwound through is
+        // discarded, the next attempt builds a new one, which serves
+        sup.arm_kill(TierKill::panic(Tier::Translated));
+        let run = sup.run("stateful", &[20]).expect("degrades");
+        assert_ne!(run.tier, Tier::Translated, "{isa}");
+        sup.clear_kills();
+        sup.lift_quarantine("stateful", Tier::Translated);
+        assert_fresh(&mut sup, isa, "a discarded manager");
+        assert_fresh(&mut sup, isa, "a rebuilt manager's first call");
+        assert_eq!(
+            sup.translation_stats().functions_translated,
+            4,
+            "{isa}: the rebuilt manager translated stateful again, once; \
+             the discarded manager's count is kept"
+        );
+    }
+}
+
+/// `set_storage`, `take_storage` and `set_image` reach the resident
+/// manager, not just the one the first run builds.
+#[test]
+fn attachments_after_the_first_run_still_take_effect() {
+    use llva_engine::storage::{SharedStorage, Storage};
+    use llva_engine::{ExecutionManager, LlvaImage};
+    use std::sync::Arc;
+
+    for isa in TargetIsa::ALL {
+        // an image carries its module with the target flags of the
+        // manager that built it; supervise exactly that module
+        let mut builder = ExecutionManager::new(stateful_module(), isa);
+        builder.translate_all().expect("translates");
+        let image = LlvaImage::parse(builder.build_image(false)).expect("parses");
+        let mut sup = Supervisor::new(image.decode_module().expect("decodes"), isa);
+        sup.run("stateful", &[20]).expect("runs");
+
+        // storage attached late: the next function translated is
+        // written back to it
+        let shared = SharedStorage::new(MemStorage::new());
+        sup.set_storage(Box::new(shared.clone()), "late");
+        assert_eq!(shared.cache_size("late").unwrap_or(0), 0, "{isa}");
+        sup.run("spin", &[10]).expect("runs");
+        let written = shared.cache_size("late").unwrap_or(0);
+        assert!(written > 0, "{isa}: late storage never saw a write-back");
+
+        // storage detached late: it comes back, and later translations
+        // no longer reach it
+        assert!(sup.take_storage().is_some(), "{isa}: storage was attached");
+        assert!(sup.take_storage().is_none(), "{isa}: and is gone now");
+        sup.run("boom", &[1]).expect("runs");
+        assert_eq!(shared.cache_size("late").unwrap_or(0), written, "{isa}");
+
+        // image attached late: the one function not yet installed comes
+        // from it instead of the JIT
+        let before = sup.translation_stats();
+        assert!(
+            sup.set_image(Arc::new(image)),
+            "{isa}: image matches its module"
+        );
+        let run = sup.run("other", &[]).expect("runs");
+        assert_eq!(run.value(), Some(9), "{isa}");
+        let after = sup.translation_stats();
+        assert_eq!(after.image_hits, before.image_hits + 1, "{isa}");
+        assert_eq!(
+            after.functions_translated, before.functions_translated,
+            "{isa}"
+        );
+        // and the calls keep starting from a fresh process throughout
+        assert_fresh(&mut sup, isa, "late attachments");
+    }
+}
+
+/// What a supervised call cannot reach (it boots unprivileged) but a
+/// process can hold: a registered trap handler, the privileged bit,
+/// captured stdout and the virtual clock all die with the process.
+#[test]
+fn start_process_resets_the_environment() {
+    use llva_engine::{EngineError, ExecutionManager};
+
+    let src = r#"
+declare int %llva.io.putchar(int)
+declare int %llva.trap.register(int, void (int, sbyte*)*)
+
+void %handler(int %no, sbyte* %info) {
+entry:
+    %x = call int %llva.io.putchar(int 72)
+    ret void
+}
+
+int %arm() {
+entry:
+    %r = call int %llva.trap.register(int 2, void (int, sbyte*)* %handler)
+    %x = call int %llva.io.putchar(int 65)
+    ret int 0
+}
+
+int %fault(int %d) {
+entry:
+    %q = div int 1, %d
+    ret int %q
+}
+"#;
+    let module = llva_core::parser::parse_module(src).expect("parses");
+    for isa in TargetIsa::ALL {
+        let mut mgr = ExecutionManager::new(module.clone(), isa);
+        mgr.env.privileged = true; // boot as kernel so the handler registers
+        mgr.run("arm", &[]).expect("runs");
+        // same process: the handler is live and prints on the fault
+        assert!(matches!(
+            mgr.run("fault", &[0]),
+            Err(EngineError::Trapped(_))
+        ));
+        assert_eq!(mgr.env.stdout_string(), "AH", "{isa}");
+        assert!(mgr.env.clock > 0, "{isa}");
+        let translated = mgr.stats().functions_translated;
+
+        mgr.start_process();
+        assert!(!mgr.env.privileged, "{isa}: privileged bit survived");
+        assert!(mgr.env.trap_handlers.is_empty(), "{isa}: handler survived");
+        assert_eq!(mgr.env.clock, 0, "{isa}: clock survived");
+        assert!(matches!(
+            mgr.run("fault", &[0]),
+            Err(EngineError::Trapped(_))
+        ));
+        assert_eq!(
+            mgr.env.stdout_string(),
+            "",
+            "{isa}: stdout or handler survived"
+        );
+        assert_eq!(mgr.run("fault", &[1]).expect("runs").value, 1, "{isa}");
+        assert_eq!(
+            mgr.stats().functions_translated,
+            translated,
+            "{isa}: the code is resident across processes"
+        );
+
+        // a parked manager holds no process; starting one serves again
+        mgr.end_process();
+        mgr.start_process();
+        assert_eq!(mgr.run("fault", &[1]).expect("runs").value, 1, "{isa}");
+    }
+}

@@ -28,7 +28,9 @@ pub struct TenantQuota {
     /// Per-call step ceiling (a single call can never burn more than
     /// this, regardless of remaining budget).
     pub max_call_fuel: u64,
-    /// Simulated memory per call, in bytes.
+    /// Size of each call's simulated address space, in bytes: a limit
+    /// on what a call may address (and on a module's global image),
+    /// not an allocation — only the bytes a call touches are backed.
     pub memory_bytes: u64,
     /// Modules this tenant may hold loaded at once.
     pub max_modules: usize,

@@ -1814,6 +1814,15 @@ fn build_runtime(
     let storage = &spec.storage;
     let parsed = llva_core::parser::parse_module(source)
         .map_err(|e| ServeError::BadModule(e.to_string()))?;
+    // Executors treat a load image that overflows their address space as
+    // a bug (a panic); for a tenant's module it is just a bad module.
+    let needed = llee::load_image_end(&parsed, config.isa);
+    if needed > spec.quota.memory_bytes {
+        return Err(ServeError::BadModule(format!(
+            "global image needs {needed} bytes of address space, the tenant's limit is {}",
+            spec.quota.memory_bytes
+        )));
+    }
     let functions = parsed
         .functions()
         .filter(|(_, f)| !f.is_declaration())
@@ -1857,9 +1866,10 @@ fn build_runtime(
             .filter(|img| img.stamp() == module_stamp)
             .map(Arc::new);
     }
-    // Translation warmup through the worker pool: the module's supervisor
-    // then starts with a hot cache (its per-call managers hit, not miss).
-    // With an image, installed native code makes the warmup a no-op.
+    // Translation warmup through the worker pool, so the image published
+    // below is complete: the module's supervisor then installs every
+    // function from it once, on first use, and keeps the code resident.
+    // With an image already there, the warmup is a no-op.
     let workers = if config.translate_workers == 0 {
         ExecutionManager::default_workers()
     } else {

@@ -514,3 +514,96 @@ fn warm_image_load_is_mmapped_from_dir_storage() {
     assert!(!mem.load_module("acme", "m", &text).unwrap().image_mapped);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A module whose global image cannot fit the tenant's address space is
+/// a bad module — refused by name before any executor is built, not a
+/// panic caught somewhere below.
+#[test]
+fn oversized_global_image_is_a_bad_module_not_a_panic() {
+    let svc = service(ServeConfig::default());
+    svc.add_tenant("acme", TenantQuota::default()).unwrap();
+    svc.load_module("acme", "m", &module_text()).unwrap();
+
+    let big = llva_minic::compile(
+        "int big[8000000];\nint cheap() { big[1] = 7; return big[1]; }",
+        "big",
+        TargetConfig::default(),
+    )
+    .expect("compiles");
+    match svc.load_module("acme", "m", &print_module(&big)) {
+        Err(ServeError::BadModule(why)) => {
+            assert!(why.contains("32004096"), "names the bytes needed: {why}");
+            assert!(
+                why.contains(&TenantQuota::default().memory_bytes.to_string()),
+                "names the bytes available: {why}"
+            );
+        }
+        other => panic!("expected BadModule, got {other:?}"),
+    }
+    // the refused load replaced nothing and holds nothing
+    let run = svc.call("acme", "m", "cheap", &[]).unwrap();
+    assert_eq!(
+        run.value(),
+        Some(42),
+        "the earlier module of that name still answers"
+    );
+    assert_eq!(svc.tenant_in_flight("acme"), Some(0), "no slot leaked");
+    assert_eq!(svc.tenant_snapshot("acme").unwrap().modules.len(), 1);
+    // and the same module is fine for a tenant with room for it
+    svc.add_tenant(
+        "roomy",
+        TenantQuota {
+            memory_bytes: 64 << 20,
+            ..TenantQuota::default()
+        },
+    )
+    .unwrap();
+    svc.load_module("roomy", "m", &print_module(&big)).unwrap();
+    assert_eq!(
+        svc.call("roomy", "m", "cheap", &[]).unwrap().value(),
+        Some(7)
+    );
+}
+
+/// The supervisor behind a loaded module keeps its translated code
+/// across calls but not its process: a function that mutates globals
+/// answers call N exactly as it answered call 1, and as a service that
+/// has never seen a call does.
+#[test]
+fn calls_do_not_see_each_others_globals() {
+    const SRC: &str = r"
+int table[64];
+int seed = 17;
+
+int work(int n) {
+    for (int i = 0; i < n; i++) {
+        seed = (seed * 1103515245 + 12345) % 2147483647;
+        int slot = seed % 64;
+        if (slot < 0) slot = -slot;
+        table[slot] = table[slot] + (seed % 1000);
+    }
+    int sum = 0;
+    for (int k = 0; k < 64; k++) sum = sum + table[k];
+    return sum + seed % 1000;
+}
+";
+    let module = llva_minic::compile(SRC, "stateful", TargetConfig::default()).expect("compiles");
+    let text = print_module(&module);
+    let first_call = || {
+        let svc = service(ServeConfig::default());
+        svc.add_tenant("acme", TenantQuota::default()).unwrap();
+        svc.load_module("acme", "m", &text).unwrap();
+        (svc.call("acme", "m", "work", &[200]).unwrap(), svc)
+    };
+    let (expected, _) = first_call();
+    assert_eq!(expected.tier, Tier::Translated);
+    let (_, svc) = first_call();
+    for call in 2..=6 {
+        let run = svc.call("acme", "m", "work", &[200]).unwrap();
+        assert_eq!(
+            (run.outcome, run.steps, run.tier),
+            (expected.outcome, expected.steps, expected.tier),
+            "call {call} saw an earlier call's globals"
+        );
+    }
+}
