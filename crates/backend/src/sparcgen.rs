@@ -95,11 +95,7 @@ struct CodeGen<'a> {
 
 impl<'a> CodeGen<'a> {
     fn new(module: &'a Module, func: &'a Function) -> CodeGen<'a> {
-        let bool_ty = module
-            .types()
-            .iter()
-            .find_map(|(id, k)| matches!(k, TypeKind::Bool).then_some(id))
-            .unwrap_or_else(|| TypeId::from_index((u32::MAX - 1) as usize));
+        let bool_ty = module.types().bool_or_sentinel();
         let mut cg = CodeGen {
             module,
             func,

@@ -53,7 +53,7 @@ exit:
                     op,
                     llva_core::instruction::Opcode::Div | llva_core::instruction::Opcode::Rem
                 ) {
-                    func.inst_mut(i).set_exceptions_enabled(exceptions_on);
+                    func.set_exceptions_enabled(i, exceptions_on);
                 }
             }
         }

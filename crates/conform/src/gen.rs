@@ -425,7 +425,7 @@ fn patch_phi_operand(b: &mut FunctionBuilder<'_>, phi_value: ValueId, idx: usize
         ValueData::Inst { inst, .. } => inst,
         _ => panic!("phi value is not an instruction result"),
     };
-    b.func_mut().inst_mut(inst).operands_mut()[idx] = v;
+    b.func_mut().set_operand(inst, idx, v);
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! decreases an integer size metric (instructions, CFG edges, and live
 //! function bodies, weighted).
 
+use llva_core::dominators::Cfg;
 use llva_core::function::{BlockId, Function};
 use llva_core::instruction::{InstId, Instruction, Opcode};
 use llva_core::module::{FuncId, Module};
@@ -289,17 +290,7 @@ fn zero_value_of(m: &mut Module, fid: FuncId, ty: llva_core::types::TypeId) -> O
 /// and downstream consumers do not — so edits that cut CFG edges must
 /// drop the code they orphaned.
 fn prune_unreachable(func: &mut Function) {
-    let entry = func.entry_block();
-    let mut seen: Vec<BlockId> = vec![entry];
-    let mut stack = vec![entry];
-    while let Some(b) = stack.pop() {
-        for s in func.successors(b) {
-            if !seen.contains(&s) {
-                seen.push(s);
-                stack.push(s);
-            }
-        }
-    }
+    let seen = Cfg::new(func).reverse_postorder();
     let dead: Vec<BlockId> = func
         .block_order()
         .iter()
@@ -315,11 +306,10 @@ fn prune_unreachable(func: &mut Function) {
 /// actual predecessor (after an edge was removed by truncation or
 /// branch collapsing).
 fn fixup_phis(func: &mut Function) {
-    let preds = func.predecessors();
+    let cfg = Cfg::new(func);
     let blocks: Vec<BlockId> = func.block_order().to_vec();
     for b in blocks {
-        let empty = Vec::new();
-        let ps = preds.get(&b).unwrap_or(&empty).clone();
+        let ps = cfg.preds(b);
         let phi_ids: Vec<InstId> = func
             .block(b)
             .insts()
@@ -338,9 +328,8 @@ fn fixup_phis(func: &mut Function) {
                 .collect();
             if pairs.len() != inst.operands().len() {
                 let (ops, blks): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-                let inst = func.inst_mut(id);
-                inst.set_operands(ops);
-                inst.set_block_operands(blks);
+                func.set_operands(id, ops);
+                func.set_block_operands(id, blks);
             }
         }
     }

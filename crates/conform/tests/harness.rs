@@ -52,7 +52,9 @@ fn sabotage_first_sub(m: &Module) -> Option<Module> {
         let ids: Vec<InstId> = func.inst_iter().map(|(_, i)| i).collect();
         for id in ids {
             if func.inst(id).opcode() == Opcode::Sub {
-                func.inst_mut(id).operands_mut().swap(0, 1);
+                let ops = func.inst(id).operands();
+                let swapped = vec![ops[1], ops[0]];
+                func.set_operands(id, swapped);
                 return Some(m2);
             }
         }

@@ -804,8 +804,8 @@ fn decode_body(module: &mut Module, f: FuncId, r: &mut Reader<'_>) -> Result<()>
             bops.push(b);
         }
         let func = module.function_mut(f);
-        func.inst_mut(*iid).set_operands(operands);
-        func.inst_mut(*iid).set_block_operands(bops);
+        func.set_operands(*iid, operands);
+        func.set_block_operands(*iid, bops);
     }
     Ok(())
 }
@@ -1022,9 +1022,7 @@ rec:
         let d = b.div(x, y);
         b.ret(Some(d));
         let div_inst = m.function(f).block(e).insts()[0];
-        m.function_mut(f)
-            .inst_mut(div_inst)
-            .set_exceptions_enabled(false);
+        m.function_mut(f).set_exceptions_enabled(div_inst, false);
         let m2 = decode_module(&encode_module(&m)).expect("decodes");
         let f2 = m2.function_by_name("f").expect("f");
         let e2 = m2.function(f2).entry_block();

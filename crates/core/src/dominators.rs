@@ -1,21 +1,114 @@
-//! Dominator analysis over the explicit CFG.
+//! CFG snapshots and dominator analysis over the explicit CFG.
 //!
+//! [`Cfg`] is the dense form every analysis starts from: successors and
+//! predecessors as `Vec`s indexed by [`BlockId::index`]. [`DomTree`] is
+//! built over it with the Cooper–Harvey–Kennedy iterative algorithm on a
+//! reverse-postorder numbering — simple, and fast in practice — and
+//! numbers the dominator tree in DFS pre-order so `dominates` is O(1).
 //! The verifier uses dominance to check the SSA property ("defs dominate
-//! uses"), and `mem2reg` uses dominance frontiers to place `phi` nodes.
-//! The implementation is the Cooper–Harvey–Kennedy iterative algorithm
-//! over a reverse-postorder numbering — simple, and fast in practice.
+//! uses"), `mem2reg` uses dominance frontiers to place `phi` nodes, and
+//! `licm` finds natural loops from it.
 
 use crate::function::{BlockId, Function};
-use std::collections::HashMap;
 
-/// Dominator tree plus dominance frontiers for one function.
+/// Marks a block with no reverse-postorder number (unreachable).
+const UNREACHABLE: u32 = u32::MAX;
+
+/// A snapshot of a function's CFG: the successors and predecessors of
+/// every laid-out block, indexed by block.
+///
+/// Predecessor lists name each laid-out block once per terminator edge,
+/// in layout order, so a block reached by both arms of a `br` lists that
+/// predecessor twice. The snapshot does not follow later CFG edits.
+#[derive(Debug, Clone)]
+pub struct Cfg {
+    entry: BlockId,
+    succs: Vec<Vec<BlockId>>,
+    preds: Vec<Vec<BlockId>>,
+}
+
+impl Cfg {
+    /// Snapshots the CFG of `func`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on declarations.
+    pub fn new(func: &Function) -> Cfg {
+        let n = func.num_block_ids();
+        let mut succs = vec![Vec::new(); n];
+        let mut preds = vec![Vec::new(); n];
+        for &b in func.block_order() {
+            if let Some(t) = func.terminator(b) {
+                let targets = func.inst(t).block_operands();
+                for &s in targets {
+                    preds[s.index()].push(b);
+                }
+                succs[b.index()] = targets.to_vec();
+            }
+        }
+        Cfg {
+            entry: func.entry_block(),
+            succs,
+            preds,
+        }
+    }
+
+    /// The length of a table indexed by [`BlockId::index`] over this CFG.
+    pub fn num_block_ids(&self) -> usize {
+        self.succs.len()
+    }
+
+    /// Successors of `block`, in terminator operand order.
+    pub fn succs(&self, block: BlockId) -> &[BlockId] {
+        &self.succs[block.index()]
+    }
+
+    /// Predecessors of `block` (one entry per incoming edge).
+    pub fn preds(&self, block: BlockId) -> &[BlockId] {
+        &self.preds[block.index()]
+    }
+
+    /// Blocks reachable from the entry, in reverse postorder of a DFS
+    /// that visits successors in terminator operand order.
+    pub fn reverse_postorder(&self) -> Vec<BlockId> {
+        let mut visited = vec![false; self.num_block_ids()];
+        let mut postorder = Vec::new();
+        // Iterative DFS with an explicit stack of (block, next-successor-index).
+        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
+        visited[self.entry.index()] = true;
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if let Some(&s) = self.succs(b).get(*next) {
+                *next += 1;
+                if !visited[s.index()] {
+                    visited[s.index()] = true;
+                    stack.push((s, 0));
+                }
+            } else {
+                postorder.push(b);
+                stack.pop();
+            }
+        }
+        postorder.reverse();
+        postorder
+    }
+}
+
+/// Dominator tree plus dominance frontiers for one function, indexed by
+/// block.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     rpo: Vec<BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
-    idom: HashMap<BlockId, BlockId>,
-    children: HashMap<BlockId, Vec<BlockId>>,
-    frontier: HashMap<BlockId, Vec<BlockId>>,
+    /// Reverse-postorder number of each block, `UNREACHABLE` if none.
+    rpo_index: Vec<u32>,
+    /// Immediate dominator by reverse-postorder number (the entry's is
+    /// itself).
+    idom: Vec<u32>,
+    children: Vec<Vec<BlockId>>,
+    frontier: Vec<Vec<BlockId>>,
+    /// Dominator-tree DFS interval of each block: `a` dominates `b` iff
+    /// `pre[a] <= pre[b] < pre_end[a]`.
+    pre: Vec<u32>,
+    pre_end: Vec<u32>,
 }
 
 impl DomTree {
@@ -24,79 +117,96 @@ impl DomTree {
     /// Blocks unreachable from the entry are excluded from the tree (they
     /// have no RPO number and no immediate dominator).
     pub fn compute(func: &Function) -> DomTree {
-        let rpo = reverse_postorder(func);
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        DomTree::from_cfg(&Cfg::new(func))
+    }
 
-        let preds_all = func.predecessors();
+    /// Computes dominators over an existing CFG snapshot.
+    pub fn from_cfg(cfg: &Cfg) -> DomTree {
+        let n = cfg.num_block_ids();
+        let rpo = cfg.reverse_postorder();
+        let mut rpo_index = vec![UNREACHABLE; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
+        }
+        // Reachable predecessors of each block, by RPO number.
+        let preds: Vec<Vec<u32>> = rpo
+            .iter()
+            .map(|&b| {
+                cfg.preds(b)
+                    .iter()
+                    .map(|p| rpo_index[p.index()])
+                    .filter(|&r| r != UNREACHABLE)
+                    .collect()
+            })
+            .collect();
+
         // Immediate dominators, CHK-style. idom[entry] = entry.
-        let entry = rpo[0];
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        let mut idom = vec![UNREACHABLE; rpo.len()];
+        idom[0] = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let preds: Vec<BlockId> = preds_all
-                    .get(&b)
-                    .map(|ps| {
-                        ps.iter()
-                            .copied()
-                            .filter(|p| rpo_index.contains_key(p))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds {
-                    if !idom.contains_key(&p) {
+            for b in 1..rpo.len() {
+                let mut new_idom = UNREACHABLE;
+                for &p in &preds[b] {
+                    if idom[p as usize] == UNREACHABLE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
+                    new_idom = if new_idom == UNREACHABLE {
+                        p
+                    } else {
+                        intersect(&idom, p, new_idom)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if new_idom != UNREACHABLE && idom[b] != new_idom {
+                    idom[b] = new_idom;
+                    changed = true;
                 }
             }
         }
 
-        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&b, &d) in &idom {
-            if b != d {
-                children.entry(d).or_default().push(b);
+        // Children in block-id order.
+        let mut children = vec![Vec::new(); n];
+        for (bi, &r) in rpo_index.iter().enumerate() {
+            if r != UNREACHABLE && r != 0 {
+                let d = rpo[idom[r as usize] as usize];
+                children[d.index()].push(BlockId::from_index(bi));
             }
-        }
-        for c in children.values_mut() {
-            c.sort();
         }
 
         // Dominance frontiers (Cytron et al. via the CHK formulation).
-        let mut frontier: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for &b in &rpo {
-            let preds: Vec<BlockId> = preds_all
-                .get(&b)
-                .map(|ps| {
-                    ps.iter()
-                        .copied()
-                        .filter(|p| idom.contains_key(p))
-                        .collect()
-                })
-                .unwrap_or_default();
-            if preds.len() >= 2 {
-                for &p in &preds {
-                    let mut runner = p;
-                    while runner != idom[&b] {
-                        let df = frontier.entry(runner).or_default();
-                        if !df.contains(&b) {
-                            df.push(b);
-                        }
-                        runner = idom[&runner];
+        let mut frontier: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        for (b, ps) in preds.iter().enumerate() {
+            if ps.len() < 2 {
+                continue;
+            }
+            for &p in ps {
+                let mut runner = p;
+                while runner != idom[b] {
+                    let df = &mut frontier[rpo[runner as usize].index()];
+                    if !df.contains(&rpo[b]) {
+                        df.push(rpo[b]);
                     }
+                    runner = idom[runner as usize];
+                }
+            }
+        }
+
+        // Pre-order intervals over the dominator tree.
+        let mut pre = vec![0u32; n];
+        let mut pre_end = vec![0u32; n];
+        if let Some(&entry) = rpo.first() {
+            let mut counter = 1u32;
+            let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+                if let Some(&c) = children[b.index()].get(*next) {
+                    *next += 1;
+                    pre[c.index()] = counter;
+                    counter += 1;
+                    stack.push((c, 0));
+                } else {
+                    pre_end[b.index()] = counter;
+                    stack.pop();
                 }
             }
         }
@@ -107,6 +217,8 @@ impl DomTree {
             idom,
             children,
             frontier,
+            pre,
+            pre_end,
         }
     }
 
@@ -117,14 +229,19 @@ impl DomTree {
 
     /// Whether `block` is reachable from the entry.
     pub fn is_reachable(&self, block: BlockId) -> bool {
-        self.rpo_index.contains_key(&block)
+        self.rpo_number(block).is_some()
+    }
+
+    fn rpo_number(&self, block: BlockId) -> Option<usize> {
+        let r = *self.rpo_index.get(block.index())?;
+        (r != UNREACHABLE).then_some(r as usize)
     }
 
     /// The immediate dominator of `block` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        let d = *self.idom.get(&block)?;
-        (d != block).then_some(d)
+        let r = self.rpo_number(block)?;
+        (r != 0).then(|| self.rpo[self.idom[r] as usize])
     }
 
     /// Whether `a` dominates `b` (reflexively).
@@ -132,17 +249,8 @@ impl DomTree {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            let next = self.idom[&cur];
-            if next == cur {
-                return false; // reached entry
-            }
-            cur = next;
-        }
+        let (a, b) = (a.index(), b.index());
+        self.pre[a] <= self.pre[b] && self.pre[b] < self.pre_end[a]
     }
 
     /// Whether `a` strictly dominates `b`.
@@ -150,58 +258,28 @@ impl DomTree {
         a != b && self.dominates(a, b)
     }
 
-    /// Children of `block` in the dominator tree.
+    /// Children of `block` in the dominator tree, in block-id order.
     pub fn children(&self, block: BlockId) -> &[BlockId] {
-        self.children.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        self.children.get(block.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The dominance frontier of `block`.
     pub fn frontier(&self, block: BlockId) -> &[BlockId] {
-        self.frontier.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        self.frontier.get(block.index()).map_or(&[], Vec::as_slice)
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
+/// The nearest common dominator of two RPO numbers.
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while a > b {
+            a = idom[a as usize];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while b > a {
+            b = idom[b as usize];
         }
     }
     a
-}
-
-/// Reverse-postorder DFS from the entry block.
-pub fn reverse_postorder(func: &Function) -> Vec<BlockId> {
-    let entry = func.entry_block();
-    let mut visited: HashMap<BlockId, bool> = HashMap::new();
-    let mut postorder = Vec::new();
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-    visited.insert(entry, true);
-    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        let succs = func.successors(b);
-        if *next < succs.len() {
-            let s = succs[*next];
-            *next += 1;
-            if !visited.get(&s).copied().unwrap_or(false) {
-                visited.insert(s, true);
-                stack.push((s, 0));
-            }
-        } else {
-            postorder.push(b);
-            stack.pop();
-        }
-    }
-    postorder.reverse();
-    postorder
 }
 
 #[cfg(test)]
@@ -239,7 +317,9 @@ mod tests {
     fn diamond_dominators() {
         let (m, f, blocks) = diamond();
         let dom = DomTree::compute(m.function(f));
-        let [entry, t, e, join] = blocks[..] else { unreachable!() };
+        let [entry, t, e, join] = blocks[..] else {
+            unreachable!()
+        };
         assert_eq!(dom.idom(entry), None);
         assert_eq!(dom.idom(t), Some(entry));
         assert_eq!(dom.idom(e), Some(entry));
@@ -249,16 +329,32 @@ mod tests {
         assert!(dom.dominates(join, join));
         assert!(dom.strictly_dominates(entry, t));
         assert!(!dom.strictly_dominates(t, t));
+        assert_eq!(dom.children(entry), &[t, e, join]);
     }
 
     #[test]
     fn diamond_frontiers() {
         let (m, f, blocks) = diamond();
         let dom = DomTree::compute(m.function(f));
-        let [_, t, e, join] = blocks[..] else { unreachable!() };
+        let [_, t, e, join] = blocks[..] else {
+            unreachable!()
+        };
         assert_eq!(dom.frontier(t), &[join]);
         assert_eq!(dom.frontier(e), &[join]);
         assert!(dom.frontier(join).is_empty());
+    }
+
+    #[test]
+    fn diamond_cfg() {
+        let (m, f, blocks) = diamond();
+        let cfg = Cfg::new(m.function(f));
+        let [entry, t, e, join] = blocks[..] else {
+            unreachable!()
+        };
+        assert_eq!(cfg.succs(entry), &[t, e]);
+        assert_eq!(cfg.preds(join), &[t, e]);
+        assert!(cfg.preds(entry).is_empty());
+        assert!(cfg.succs(join).is_empty());
     }
 
     #[test]
@@ -286,6 +382,7 @@ mod tests {
         assert!(dom.is_reachable(entry));
         assert!(!dom.is_reachable(dead));
         assert!(!dom.dominates(entry, dead));
+        assert_eq!(dom.idom(dead), None);
     }
 
     #[test]
@@ -314,6 +411,7 @@ mod tests {
         assert_eq!(dom.idom(header), Some(entry));
         assert_eq!(dom.idom(body), Some(header));
         assert_eq!(dom.idom(exit), Some(header));
+        assert!(dom.dominates(header, body) && !dom.dominates(body, exit));
         // header is in its own body's frontier (back edge)
         assert!(dom.frontier(body).contains(&header));
         assert!(dom.frontier(header).contains(&header));

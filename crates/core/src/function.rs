@@ -5,6 +5,11 @@
 //! explicitly names its successors (paper §3.1, "Global Data-flow (SSA) &
 //! Control Flow Information"). The explicit CFG is a core feature of the
 //! V-ISA — unlike native machine code, successors are never implicit.
+//!
+//! The function also keeps the def-use graph: every value's use list is
+//! updated by each operand mutation (`append_inst`, `insert_inst_at`,
+//! `set_operands`, `set_operand`, `replace_all_uses`), which makes
+//! replace-all-uses-with and use counting proportional to the uses.
 
 use crate::instruction::{InstId, Instruction, Opcode};
 use crate::types::TypeId;
@@ -65,6 +70,17 @@ impl BasicBlock {
     }
 }
 
+/// The end of a def-use chain.
+const NIL: u32 = u32::MAX;
+
+/// One operand slot in a def-use chain: the instruction holding it and
+/// the next node of the chain (`NIL` at the end).
+#[derive(Debug, Clone, Copy)]
+struct UseNode {
+    user: InstId,
+    next: u32,
+}
+
 /// An LLVA function: argument list, block layout, and the arenas that own
 /// all instructions and SSA values.
 #[derive(Debug, Clone)]
@@ -80,6 +96,13 @@ pub struct Function {
     insts: Vec<Instruction>,
     inst_block: Vec<Option<BlockId>>,
     values: Vec<ValueData>,
+    /// Def-use chains: `first_use[v]` starts a list through `use_nodes`
+    /// with one node per operand slot of an arena instruction (attached
+    /// or not) that holds `v`. Unlinked nodes are chained from
+    /// `free_use` for reuse.
+    first_use: Vec<u32>,
+    use_nodes: Vec<UseNode>,
+    free_use: u32,
     inst_results: Vec<Option<ValueId>>,
     args: Vec<ValueId>,
     value_names: HashMap<ValueId, String>,
@@ -110,6 +133,9 @@ impl Function {
             insts: Vec::new(),
             inst_block: Vec::new(),
             values: Vec::new(),
+            first_use: Vec::new(),
+            use_nodes: Vec::new(),
+            free_use: NIL,
             inst_results: Vec::new(),
             args: Vec::new(),
             value_names: HashMap::new(),
@@ -206,6 +232,12 @@ impl Function {
         self.block_order.len()
     }
 
+    /// Number of block handles ever created, laid out or removed: the
+    /// length of a table indexed by [`BlockId::index`].
+    pub fn num_block_ids(&self) -> usize {
+        self.blocks.len()
+    }
+
     /// Removes `block` from the layout. Its instructions stay in the
     /// arena but are no longer reachable through the layout; the caller
     /// (normally `simplifycfg`) is responsible for fixing up references.
@@ -234,6 +266,9 @@ impl Function {
     ) -> (InstId, Option<ValueId>) {
         let id = InstId::from_index(self.insts.len());
         let ty = inst.result_type();
+        for &op in inst.operands() {
+            self.link_use(op, id);
+        }
         self.insts.push(inst);
         self.inst_block.push(Some(block));
         let result = if ty != void_ty {
@@ -269,9 +304,53 @@ impl Function {
         &self.insts[id.index()]
     }
 
-    /// Mutable access to an instruction.
-    pub fn inst_mut(&mut self, id: InstId) -> &mut Instruction {
-        &mut self.insts[id.index()]
+    /// Replaces the value operands of `id`, keeping use lists exact.
+    pub fn set_operands(&mut self, id: InstId, operands: Vec<ValueId>) {
+        for &v in &operands {
+            self.link_use(v, id);
+        }
+        for &v in self.insts[id.index()].replace_operands(operands).iter() {
+            self.unlink_use(v, id);
+        }
+    }
+
+    /// Replaces operand `index` of `id` with `value`, keeping use lists
+    /// exact.
+    pub fn set_operand(&mut self, id: InstId, index: usize, value: ValueId) {
+        let old = std::mem::replace(&mut self.insts[id.index()].operand_slots()[index], value);
+        if old != value {
+            self.unlink_use(old, id);
+            self.link_use(value, id);
+        }
+    }
+
+    /// Replaces the block operands of `id` (branch targets / phi
+    /// predecessors).
+    pub fn set_block_operands(&mut self, id: InstId, blocks: Vec<BlockId>) {
+        self.insts[id.index()].set_block_operands(blocks);
+    }
+
+    /// Overrides the `ExceptionsEnabled` attribute (§3.3) of `id`.
+    pub fn set_exceptions_enabled(&mut self, id: InstId, enabled: bool) {
+        self.insts[id.index()].set_exceptions_enabled(enabled);
+    }
+
+    /// Makes the phis of `block`'s successors that name `from` as an
+    /// incoming block name `block` instead — the fix-up after the code
+    /// ending in `from`'s terminator moved into `block`.
+    pub fn retarget_successor_phis(&mut self, block: BlockId, from: BlockId) {
+        for succ in self.successors(block) {
+            for &i in &self.blocks[succ.index()].insts {
+                let inst = &mut self.insts[i.index()];
+                if inst.opcode() == Opcode::Phi {
+                    for pb in inst.block_operands_mut() {
+                        if *pb == from {
+                            *pb = block;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The block currently containing `id`, or `None` if detached.
@@ -292,7 +371,7 @@ impl Function {
     }
 
     /// Re-links a detached instruction at the end of `block` (used by
-    /// CFG merges and by inlining).
+    /// code motion and by inlining).
     ///
     /// # Panics
     ///
@@ -301,6 +380,16 @@ impl Function {
         debug_assert!(self.inst_block[inst.index()].is_none());
         self.inst_block[inst.index()] = Some(block);
         self.blocks[block.index()].insts.push(inst);
+    }
+
+    /// Moves the instructions of `from` at positions `pos..` to the end
+    /// of `to` (block splits and straight-line merges).
+    pub fn move_insts(&mut self, from: BlockId, pos: usize, to: BlockId) {
+        let tail = self.blocks[from.index()].insts.split_off(pos);
+        for &i in &tail {
+            self.inst_block[i.index()] = Some(to);
+        }
+        self.blocks[to.index()].insts.extend(tail);
     }
 
     /// The terminator of `block`, if the block is non-empty and ends in
@@ -339,6 +428,7 @@ impl Function {
     fn push_value(&mut self, data: ValueData) -> ValueId {
         let id = ValueId::from_index(self.values.len());
         self.values.push(data);
+        self.first_use.push(NIL);
         id
     }
 
@@ -390,28 +480,131 @@ impl Function {
         self.value_names.get(&value).map(String::as_str)
     }
 
-    /// Rewrites every use of `from` into `to` across all instructions.
+    /// The arena instructions using `value`, once per operand slot that
+    /// holds it, in no particular order. Detached instructions are
+    /// included: code motion and inlining re-attach them.
+    pub fn users(&self, value: ValueId) -> impl Iterator<Item = InstId> + '_ {
+        let mut k = self.first_use[value.index()];
+        std::iter::from_fn(move || {
+            let node = *self.use_nodes.get(k as usize)?;
+            k = node.next;
+            Some(node.user)
+        })
+    }
+
+    /// Rewrites every use of `from` into `to` across all instructions,
+    /// attached or not, in O(uses of `from`).
     pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
-        for inst in &mut self.insts {
-            for op in inst.operands_mut() {
+        let head = self.first_use[from.index()];
+        if from == to || head == NIL {
+            return;
+        }
+        let mut k = head;
+        loop {
+            let UseNode { user, next } = self.use_nodes[k as usize];
+            for op in self.insts[user.index()].operand_slots() {
                 if *op == from {
                     *op = to;
                 }
             }
+            if next == NIL {
+                break;
+            }
+            k = next;
         }
+        // the whole chain moves in front of `to`'s
+        self.use_nodes[k as usize].next = self.first_use[to.index()];
+        self.first_use[to.index()] = head;
+        self.first_use[from.index()] = NIL;
     }
 
     /// Counts uses of `value` among linked instructions only.
     pub fn count_uses(&self, value: ValueId) -> usize {
-        self.inst_iter()
-            .map(|(_, i)| {
-                self.inst(i)
-                    .operands()
-                    .iter()
-                    .filter(|&&op| op == value)
-                    .count()
-            })
-            .sum()
+        self.users(value)
+            .filter(|u| self.inst_block[u.index()].is_some())
+            .count()
+    }
+
+    /// Adds a `user` node to `value`'s chain.
+    fn link_use(&mut self, value: ValueId, user: InstId) {
+        let node = UseNode {
+            user,
+            next: self.first_use[value.index()],
+        };
+        let k = if self.free_use == NIL {
+            self.use_nodes.push(node);
+            u32::try_from(self.use_nodes.len() - 1).expect("use index overflow")
+        } else {
+            let k = self.free_use;
+            self.free_use = self.use_nodes[k as usize].next;
+            self.use_nodes[k as usize] = node;
+            k
+        };
+        self.first_use[value.index()] = k;
+    }
+
+    /// Drops one `user` node from `value`'s chain.
+    fn unlink_use(&mut self, value: ValueId, user: InstId) {
+        let mut prev = NIL;
+        let mut k = self.first_use[value.index()];
+        let next = loop {
+            let node = self
+                .use_nodes
+                .get(k as usize)
+                .expect("every operand slot is on its value's chain");
+            if node.user == user {
+                break node.next;
+            }
+            prev = k;
+            k = node.next;
+        };
+        if prev == NIL {
+            self.first_use[value.index()] = next;
+        } else {
+            self.use_nodes[prev as usize].next = next;
+        }
+        self.use_nodes[k as usize].next = self.free_use;
+        self.free_use = k;
+    }
+
+    /// Checks the def-use chains against the operands: every operand of
+    /// every arena instruction appears in its value's use list exactly as
+    /// often as it is used there, and nothing else appears.
+    ///
+    /// # Errors
+    ///
+    /// Names the first value whose use list disagrees.
+    pub fn check_uses(&self) -> Result<(), String> {
+        let mut expected: Vec<(ValueId, InstId)> = Vec::new();
+        for (i, inst) in self.insts.iter().enumerate() {
+            expected.extend(inst.operands().iter().map(|&v| (v, InstId::from_index(i))));
+        }
+        let mut actual: Vec<(ValueId, InstId)> = Vec::with_capacity(expected.len());
+        for v in (0..self.values.len()).map(ValueId::from_index) {
+            // a corrupted chain may cycle: no chain has more nodes than exist
+            actual.extend(self.users(v).take(self.use_nodes.len() + 1).map(|u| (v, u)));
+        }
+        expected.sort_unstable();
+        actual.sort_unstable();
+        let Some(k) =
+            (0..expected.len().max(actual.len())).find(|&k| expected.get(k) != actual.get(k))
+        else {
+            return Ok(());
+        };
+        let value = match (expected.get(k), actual.get(k)) {
+            (Some(e), Some(a)) => e.0.min(a.0),
+            (Some(e), None) => e.0,
+            (None, Some(a)) => a.0,
+            (None, None) => unreachable!("k is below one of the lengths"),
+        };
+        let of = |pairs: &[(ValueId, InstId)]| -> Vec<InstId> {
+            pairs.iter().filter(|p| p.0 == value).map(|p| p.1).collect()
+        };
+        Err(format!(
+            "use list of {value} is {:?} but its operand slots are in {:?}",
+            of(&actual),
+            of(&expected)
+        ))
     }
 
     /// Whether the terminator list of every laid-out block is well formed
@@ -419,20 +612,6 @@ impl Function {
     /// [`verifier`](crate::verifier) does much more).
     pub fn has_terminators(&self) -> bool {
         self.block_order.iter().all(|&b| self.terminator(b).is_some())
-    }
-
-    /// Predecessor map: for each block, the blocks that branch to it.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for &b in &self.block_order {
-            preds.entry(b).or_default();
-        }
-        for &b in &self.block_order {
-            for s in self.successors(b) {
-                preds.entry(s).or_default().push(b);
-            }
-        }
-        preds
     }
 
     /// Dedicated accessor used by phi handling: the value flowing into
@@ -567,9 +746,59 @@ mod tests {
         f.append_inst(then, Instruction::new(Opcode::Ret, void, vec![f.args()[0]], vec![]), void);
         f.append_inst(els, Instruction::new(Opcode::Ret, void, vec![f.args()[1]], vec![]), void);
         assert_eq!(f.successors(entry), vec![then, els]);
-        let preds = f.predecessors();
-        assert_eq!(preds[&then], vec![entry]);
-        assert_eq!(preds[&els], vec![entry]);
-        assert!(preds[&entry].is_empty());
+        let cfg = crate::dominators::Cfg::new(&f);
+        assert_eq!(cfg.preds(then), &[entry]);
+        assert_eq!(cfg.preds(els), &[entry]);
+        assert!(cfg.preds(entry).is_empty());
+    }
+
+    #[test]
+    fn use_lists_follow_every_operand_mutation() {
+        let mut tt = TypeTable::new();
+        let int = tt.int();
+        let void = tt.void();
+        let mut f = simple_fn(&mut tt);
+        let entry = f.add_block("entry");
+        let (a, b) = (f.args()[0], f.args()[1]);
+        let add_aa = Instruction::new(Opcode::Add, int, vec![a, a], vec![]);
+        let (add, s) = f.append_inst(entry, add_aa, void);
+        let s = s.unwrap();
+        let ret_s = Instruction::new(Opcode::Ret, void, vec![s], vec![]);
+        let (ret, _) = f.append_inst(entry, ret_s, void);
+        let users = |f: &Function, v| f.users(v).collect::<Vec<_>>();
+        assert_eq!(users(&f, a), [add, add]);
+        f.set_operand(add, 1, b);
+        assert_eq!((users(&f, a), users(&f, b)), (vec![add], vec![add]));
+        f.set_operands(add, vec![b, b]);
+        assert!(users(&f, a).is_empty());
+        f.replace_all_uses(b, a);
+        assert_eq!(f.count_uses(a), 2);
+        assert!(users(&f, b).is_empty());
+        // a detached user keeps its uses, but no longer counts
+        f.remove_inst(ret);
+        assert_eq!((users(&f, s), f.count_uses(s)), (vec![ret], 0));
+        f.check_uses().expect("use lists in sync");
+    }
+
+    #[test]
+    fn desynchronised_use_list_is_reported() {
+        let mut tt = TypeTable::new();
+        let int = tt.int();
+        let void = tt.void();
+        let mut f = simple_fn(&mut tt);
+        let entry = f.add_block("entry");
+        let (a, b) = (f.args()[0], f.args()[1]);
+        let add_ab = Instruction::new(Opcode::Add, int, vec![a, b], vec![]);
+        let (add, _) = f.append_inst(entry, add_ab, void);
+        f.check_uses().expect("in sync");
+        // a stale entry: `b` claims a second use by `add`
+        f.link_use(b, add);
+        let err = f.check_uses().unwrap_err();
+        assert!(err.contains(&format!("use list of {b}")), "{err}");
+        // a missing entry
+        f.unlink_use(b, add);
+        f.unlink_use(b, add);
+        let err = f.check_uses().unwrap_err();
+        assert!(err.contains(&format!("use list of {b}")), "{err}");
     }
 }

@@ -266,12 +266,15 @@ impl fmt::Display for Opcode {
 /// * `cast`: `[value]`; result type is the destination type
 /// * `call`: `[callee, args…]`
 /// * `phi`: `[v0, v1, …]` + blocks `[pred0, pred1, …]` (parallel)
+///
+/// Operand lists are boxed slices: they are replaced whole, never grown,
+/// so they carry no spare capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instruction {
     opcode: Opcode,
     ty: crate::types::TypeId,
-    operands: Vec<ValueId>,
-    blocks: Vec<BlockId>,
+    operands: Box<[ValueId]>,
+    blocks: Box<[BlockId]>,
     exceptions_enabled: bool,
 }
 
@@ -287,8 +290,8 @@ impl Instruction {
         Instruction {
             opcode,
             ty,
-            operands,
-            blocks,
+            operands: operands.into_boxed_slice(),
+            blocks: blocks.into_boxed_slice(),
             exceptions_enabled: opcode.default_exceptions_enabled(),
         }
     }
@@ -308,10 +311,20 @@ impl Instruction {
         &self.operands
     }
 
-    /// Mutable access to the value operands (used by
-    /// replace-all-uses-with during optimization).
-    pub fn operands_mut(&mut self) -> &mut [ValueId] {
+    /// The operand slots, for the owning [`Function`]'s use-list-aware
+    /// mutators only.
+    ///
+    /// [`Function`]: crate::function::Function
+    pub(crate) fn operand_slots(&mut self) -> &mut [ValueId] {
         &mut self.operands
+    }
+
+    /// Replaces the operand list, returning the old one (for the owning
+    /// [`Function`]'s use-list-aware mutators only).
+    ///
+    /// [`Function`]: crate::function::Function
+    pub(crate) fn replace_operands(&mut self, operands: Vec<ValueId>) -> Box<[ValueId]> {
+        std::mem::replace(&mut self.operands, operands.into_boxed_slice())
     }
 
     /// The block operands (branch targets / phi predecessors).
@@ -319,19 +332,15 @@ impl Instruction {
         &self.blocks
     }
 
-    /// Mutable access to the block operands (used by CFG edits).
-    pub fn block_operands_mut(&mut self) -> &mut [BlockId] {
+    /// Mutable access to the block operands (block operands carry no
+    /// use lists).
+    pub(crate) fn block_operands_mut(&mut self) -> &mut [BlockId] {
         &mut self.blocks
     }
 
-    /// Replaces the full operand list (used by phi pruning).
-    pub fn set_operands(&mut self, operands: Vec<ValueId>) {
-        self.operands = operands;
-    }
-
-    /// Replaces the full block-operand list (used by phi pruning).
-    pub fn set_block_operands(&mut self, blocks: Vec<BlockId>) {
-        self.blocks = blocks;
+    /// Replaces the block-operand list.
+    pub(crate) fn set_block_operands(&mut self, blocks: Vec<BlockId>) {
+        self.blocks = blocks.into_boxed_slice();
     }
 
     /// The `ExceptionsEnabled` attribute (§3.3).

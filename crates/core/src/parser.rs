@@ -1199,8 +1199,8 @@ impl<'a> Parser<'a> {
                 })?);
             }
             let func = self.module.function_mut(func_id);
-            func.inst_mut(iid).set_operands(operands);
-            func.inst_mut(iid).set_block_operands(bops);
+            func.set_operands(iid, operands);
+            func.set_block_operands(iid, bops);
         }
         Ok(())
     }

@@ -505,7 +505,7 @@ mod tests {
         assert!(!text.contains("[exc]"), "{text}");
         // flip it off -> [noexc] printed
         let div_inst = m.function(f).block(e).insts()[0];
-        m.function_mut(f).inst_mut(div_inst).set_exceptions_enabled(false);
+        m.function_mut(f).set_exceptions_enabled(div_inst, false);
         let text = print_function(&m, m.function(f));
         assert!(text.contains("div [noexc] int"), "{text}");
     }

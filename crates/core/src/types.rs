@@ -176,6 +176,22 @@ impl TypeTable {
         id
     }
 
+    /// The handle of `kind` if it is already interned (a hash lookup,
+    /// unlike [`intern`](TypeTable::intern) it never adds a type).
+    pub fn lookup(&self, kind: &TypeKind) -> Option<TypeId> {
+        self.interned.get(kind).copied()
+    }
+
+    /// The `bool` handle for [`Function::value_type`], which needs one
+    /// for `bool` constants: the interned `bool`, or, when the table has
+    /// none, a sentinel no type in the table equals.
+    ///
+    /// [`Function::value_type`]: crate::function::Function::value_type
+    pub fn bool_or_sentinel(&self) -> TypeId {
+        self.lookup(&TypeKind::Bool)
+            .unwrap_or_else(|| TypeId::from_index((u32::MAX - 1) as usize))
+    }
+
     /// Returns the kind of a previously interned type.
     ///
     /// # Panics
@@ -469,6 +485,19 @@ mod tests {
         assert_eq!(tt.int(), tt.int());
         assert_ne!(tt.int(), tt.uint());
         assert_ne!(tt.float(), tt.double());
+    }
+
+    #[test]
+    fn lookup_never_interns() {
+        let mut tt = TypeTable::new();
+        let int = tt.int();
+        assert_eq!(tt.lookup(&TypeKind::Int), Some(int));
+        assert_eq!(tt.lookup(&TypeKind::Bool), None);
+        let sentinel = tt.bool_or_sentinel();
+        assert!(tt.iter().all(|(id, _)| id != sentinel));
+        assert_eq!(tt.len(), 1);
+        let b = tt.bool();
+        assert_eq!(tt.bool_or_sentinel(), b);
     }
 
     #[test]

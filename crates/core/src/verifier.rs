@@ -6,7 +6,7 @@
 //! (every block ends in exactly one terminator) and the SSA property
 //! (every use is dominated by its definition).
 
-use crate::dominators::DomTree;
+use crate::dominators::{Cfg, DomTree};
 use crate::function::{BlockId, Function};
 use crate::instruction::{InstId, Opcode};
 use crate::module::Module;
@@ -76,17 +76,23 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
     let mut ctx = Ctx {
         module,
         func,
+        bool_ty: module.types().bool_or_sentinel(),
         errors,
     };
+    if let Err(e) = func.check_uses() {
+        ctx.err(e);
+    }
     ctx.check_blocks();
-    let dom = DomTree::compute(func);
-    ctx.check_instructions(&dom);
+    let cfg = Cfg::new(func);
+    let dom = DomTree::from_cfg(&cfg);
+    ctx.check_instructions(&cfg, &dom);
     ctx.check_ssa(&dom);
 }
 
 struct Ctx<'a> {
     module: &'a Module,
     func: &'a Function,
+    bool_ty: TypeId,
     errors: &'a mut Vec<VerifyError>,
 }
 
@@ -103,17 +109,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn vty(&self, v: crate::value::ValueId) -> TypeId {
-        // The bool TypeId must already be interned when bool constants
-        // appear; interning is monotonic so looking it up via a clone-free
-        // scan is overkill — modules always intern bool lazily. We accept
-        // the tiny cost of a scan here since verification is offline.
-        let types = self.module.types();
-        let bool_ty = types
-            .iter()
-            .find(|(_, k)| matches!(k, TypeKind::Bool))
-            .map(|(id, _)| id)
-            .unwrap_or_else(|| TypeId::from_index((u32::MAX - 1) as usize));
-        self.func.value_type(v, bool_ty)
+        self.func.value_type(v, self.bool_ty)
     }
 
     fn check_blocks(&mut self) {
@@ -156,22 +152,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn check_instructions(&mut self, dom: &DomTree) {
-        let preds = self.func.predecessors();
+    fn check_instructions(&mut self, cfg: &Cfg, dom: &DomTree) {
         for (block, inst_id) in self.func.inst_iter() {
             if !dom.is_reachable(block) {
                 continue;
             }
-            self.check_inst(block, inst_id, &preds);
+            self.check_inst(inst_id, cfg.preds(block));
         }
     }
 
-    fn check_inst(
-        &mut self,
-        block: BlockId,
-        id: InstId,
-        preds: &std::collections::HashMap<BlockId, Vec<BlockId>>,
-    ) {
+    fn check_inst(&mut self, id: InstId, preds: &[BlockId]) {
         let inst = self.func.inst(id);
         let op = inst.opcode();
         let types = self.module.types();
@@ -449,7 +439,7 @@ impl<'a> Ctx<'a> {
                 }
             }
             Opcode::Phi => {
-                let expected_preds = preds.get(&block).map(Vec::len).unwrap_or(0);
+                let expected_preds = preds.len();
                 if n_ops != n_blocks {
                     self.err("phi values and blocks are not parallel".into());
                     return;
@@ -465,13 +455,11 @@ impl<'a> Ctx<'a> {
                         self.err("phi lists a predecessor twice".into());
                     }
                     seen.push(b);
-                    if let Some(ps) = preds.get(&block) {
-                        if !ps.contains(&b) {
-                            self.err(format!(
-                                "phi incoming block '{}' is not a predecessor",
-                                self.func.block(b).name()
-                            ));
-                        }
+                    if !preds.contains(&b) {
+                        self.err(format!(
+                            "phi incoming block '{}' is not a predecessor",
+                            self.func.block(b).name()
+                        ));
                     }
                     let vt = self.vty(v);
                     if vt != inst.result_type() {
@@ -484,67 +472,52 @@ impl<'a> Ctx<'a> {
     }
 
     fn check_ssa(&mut self, dom: &DomTree) {
-        for (block, inst_id) in self.func.inst_iter() {
-            if !dom.is_reachable(block) {
-                continue;
-            }
-            let inst = self.func.inst(inst_id);
-            let is_phi = inst.opcode() == Opcode::Phi;
-            let operands: Vec<_> = inst.operands().to_vec();
-            let phi_blocks: Vec<_> = inst.block_operands().to_vec();
-            for (i, &op) in operands.iter().enumerate() {
-                let ValueData::Inst { inst: def, .. } = *self.func.value(op) else {
-                    continue; // constants and args dominate everything
-                };
-                let Some(def_block) = self.func.inst_parent(def) else {
-                    self.err(format!("use of detached instruction result {op}"));
-                    continue;
-                };
-                let use_point = if is_phi {
-                    // A phi use must be dominated at the end of the
-                    // corresponding predecessor block. Values flowing in
-                    // over a dead edge (unreachable predecessor) are
-                    // never read and are exempt, as in LLVM's verifier.
-                    match phi_blocks.get(i) {
-                        Some(&pb) if dom.is_reachable(pb) => (pb, None),
-                        _ => continue,
-                    }
-                } else {
-                    (block, Some(inst_id))
-                };
-                if !self.dominates_use(dom, def, def_block, use_point) {
-                    self.err(format!(
-                        "definition of {op} does not dominate its use in block '{}'",
-                        self.func.block(block).name()
-                    ));
+        // Position of each instruction result within its block, for
+        // same-block dominance.
+        let mut def_pos = vec![0u32; self.func.num_values()];
+        for &b in self.func.block_order() {
+            for (pos, &i) in self.func.block(b).insts().iter().enumerate() {
+                if let Some(r) = self.func.inst_result(i) {
+                    def_pos[r.index()] = pos as u32;
                 }
             }
         }
-    }
-
-    /// Does `def` (in `def_block`) dominate the use point `(block, inst)`?
-    /// `inst == None` means "end of block".
-    fn dominates_use(
-        &self,
-        dom: &DomTree,
-        def: InstId,
-        def_block: BlockId,
-        use_point: (BlockId, Option<InstId>),
-    ) -> bool {
-        let (use_block, use_inst) = use_point;
-        if def_block != use_block {
-            return dom.strictly_dominates(def_block, use_block)
-                || (dom.is_reachable(def_block) && dom.dominates(def_block, use_block));
-        }
-        match use_inst {
-            None => true, // def is in the block, use at end of block
-            Some(u) => {
-                let insts = self.func.block(def_block).insts();
-                let dp = insts.iter().position(|&i| i == def);
-                let up = insts.iter().position(|&i| i == u);
-                match (dp, up) {
-                    (Some(d), Some(u)) => d < u,
-                    _ => false,
+        for &block in self.func.block_order() {
+            if !dom.is_reachable(block) {
+                continue;
+            }
+            for (use_pos, &inst_id) in self.func.block(block).insts().iter().enumerate() {
+                let inst = self.func.inst(inst_id);
+                let is_phi = inst.opcode() == Opcode::Phi;
+                for (i, &op) in inst.operands().iter().enumerate() {
+                    let ValueData::Inst { inst: def, .. } = *self.func.value(op) else {
+                        continue; // constants and args dominate everything
+                    };
+                    let Some(def_block) = self.func.inst_parent(def) else {
+                        self.err(format!("use of detached instruction result {op}"));
+                        continue;
+                    };
+                    let dominated = if is_phi {
+                        // A phi use must be dominated at the end of the
+                        // corresponding predecessor block. Values flowing
+                        // in over a dead edge (unreachable predecessor)
+                        // are never read and are exempt, as in LLVM's
+                        // verifier.
+                        match inst.block_operands().get(i) {
+                            Some(&pb) if dom.is_reachable(pb) => dom.dominates(def_block, pb),
+                            _ => continue,
+                        }
+                    } else if def_block == block {
+                        (def_pos[op.index()] as usize) < use_pos
+                    } else {
+                        dom.dominates(def_block, block)
+                    };
+                    if !dominated {
+                        self.err(format!(
+                            "definition of {op} does not dominate its use in block '{}'",
+                            self.func.block(block).name()
+                        ));
+                    }
                 }
             }
         }

@@ -203,11 +203,7 @@ impl<'m> Interpreter<'m> {
             .functions()
             .map(|(_, f)| f.name().to_string())
             .collect();
-        let bool_ty = module
-            .types()
-            .iter()
-            .find_map(|(id, k)| matches!(k, TypeKind::Bool).then_some(id))
-            .unwrap_or_else(|| TypeId::from_index((u32::MAX - 1) as usize));
+        let bool_ty = module.types().bool_or_sentinel();
         Interpreter {
             module,
             mem,

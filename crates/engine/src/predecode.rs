@@ -763,11 +763,7 @@ impl<'m> PreModule<'m> {
     /// Builds the per-module state; no function is decoded yet.
     pub fn new(module: &'m Module) -> PreModule<'m> {
         let image = layout_globals(module);
-        let bool_ty = module
-            .types()
-            .iter()
-            .find_map(|(id, k)| matches!(k, TypeKind::Bool).then_some(id))
-            .unwrap_or_else(|| TypeId::from_index((u32::MAX - 1) as usize));
+        let bool_ty = module.types().bool_or_sentinel();
         let n = module.num_functions();
         let mut func_names = Vec::with_capacity(n);
         let mut intrinsics = Vec::with_capacity(n);

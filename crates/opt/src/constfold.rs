@@ -9,8 +9,9 @@
 
 use crate::pass::ModulePass;
 use llva_core::eval;
-use llva_core::instruction::{InstId, Opcode};
+use llva_core::instruction::{InstId, Instruction, Opcode};
 use llva_core::module::Module;
+use llva_core::types::TypeKind;
 use llva_core::value::{Constant, ValueId};
 
 /// The folding pass.
@@ -89,15 +90,7 @@ fn fold_one(module: &mut Module, fid: llva_core::module::FuncId, inst_id: InstId
         }
         // algebraic identities (integer only, trap-safe)
         let types = module.types();
-        let bool_ty = None
-            .or_else(|| {
-                types
-                    .iter()
-                    .find(|(_, k)| matches!(k, llva_core::types::TypeKind::Bool))
-                    .map(|(id, _)| id)
-            })
-            .unwrap_or_else(|| llva_core::types::TypeId::from_index((u32::MAX - 1) as usize));
-        let ty = func.value_type(a, bool_ty);
+        let ty = func.value_type(a, types.bool_or_sentinel());
         if types.is_integer(ty) {
             let is_zero = |c: Option<Constant>| matches!(c, Some(Constant::Int { bits: 0, .. }));
             let is_one = |c: Option<Constant>| matches!(c, Some(Constant::Int { bits: 1, .. }));
@@ -151,15 +144,10 @@ fn fold_one(module: &mut Module, fid: llva_core::module::FuncId, inst_id: InstId
                 }
             }
             // cast to the same type is the identity
-            let bool_ty = module.types().iter().find_map(|(id, k)| {
-                matches!(k, llva_core::types::TypeKind::Bool).then_some(id)
-            });
-            if let Some(bt) = bool_ty.or(Some(to)) {
-                let from_ty = module.function(fid).value_type(ops[0], bt);
-                if from_ty == to {
-                    replace_with_value(module, fid, inst_id, ops[0]);
-                    return Some(1);
-                }
+            let bool_ty = module.types().lookup(&TypeKind::Bool).unwrap_or(to);
+            if func.value_type(ops[0], bool_ty) == to {
+                replace_with_value(module, fid, inst_id, ops[0]);
+                return Some(1);
             }
             None
         }
@@ -189,8 +177,8 @@ fn fold_one(module: &mut Module, fid: llva_core::module::FuncId, inst_id: InstId
             let func = module.function_mut(fid);
             let targets = func.inst(inst_id).block_operands().to_vec();
             let dest = if flag { targets[0] } else { targets[1] };
-            func.inst_mut(inst_id).set_operands(vec![]);
-            func.inst_mut(inst_id).set_block_operands(vec![dest]);
+            func.set_operands(inst_id, vec![]);
+            func.set_block_operands(inst_id, vec![dest]);
             Some(1)
         }
         Opcode::Mbr => {
@@ -209,15 +197,12 @@ fn fold_one(module: &mut Module, fid: llva_core::module::FuncId, inst_id: InstId
                     }
                 }
             }
-            let old = func.inst(inst_id).clone();
-            let _ = old;
-            let new = llva_core::instruction::Instruction::new(
-                Opcode::Br,
-                func.inst(inst_id).result_type(),
-                vec![],
-                vec![dest],
-            );
-            *func.inst_mut(inst_id) = new;
+            // an `mbr` becomes a fresh `br` in the terminator's place
+            let void = func.inst(inst_id).result_type();
+            let block = func.inst_parent(inst_id)?;
+            func.remove_inst(inst_id);
+            let br = Instruction::new(Opcode::Br, void, vec![], vec![dest]);
+            func.append_inst(block, br, void);
             Some(1)
         }
         _ => None,

@@ -9,9 +9,10 @@
 //! `ablation` bench quantifies it.
 
 use crate::pass::ModulePass;
-use llva_core::instruction::Opcode;
+use llva_core::function::Function;
+use llva_core::instruction::{InstId, Opcode};
 use llva_core::module::Module;
-use std::collections::HashMap;
+use llva_core::value::ValueData;
 
 /// The DCE pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,45 +41,48 @@ impl ModulePass for Dce {
         self.removed = 0;
         for fid in module.function_ids() {
             let func = module.function_mut(fid);
-            if func.is_declaration() {
-                continue;
-            }
-            loop {
-                // Count uses of every value once per sweep.
-                let mut use_counts: HashMap<llva_core::value::ValueId, usize> = HashMap::new();
-                for (_, i) in func.inst_iter() {
-                    for &op in func.inst(i).operands() {
-                        *use_counts.entry(op).or_insert(0) += 1;
-                    }
-                }
-                let mut dead = Vec::new();
-                for (_, i) in func.inst_iter() {
-                    let inst = func.inst(i);
-                    if inst.is_terminator() {
-                        continue;
-                    }
-                    if has_side_effects(inst) {
-                        continue;
-                    }
-                    let unused = match func.inst_result(i) {
-                        Some(r) => use_counts.get(&r).copied().unwrap_or(0) == 0,
-                        None => true,
-                    };
-                    if unused {
-                        dead.push(i);
-                    }
-                }
-                if dead.is_empty() {
-                    break;
-                }
-                self.removed += dead.len();
-                for i in dead {
-                    func.remove_inst(i);
-                }
+            if !func.is_declaration() {
+                self.removed += run_function(func);
             }
         }
         self.removed > 0
     }
+}
+
+/// Removes every dead instruction of `func`: a worklist seeded with the
+/// dead instructions, where each removal re-examines the definitions of
+/// its operands. Returns how many were removed.
+fn run_function(func: &mut Function) -> usize {
+    let mut work: Vec<InstId> = func
+        .inst_iter()
+        .map(|(_, i)| i)
+        .filter(|&i| is_dead(func, i))
+        .collect();
+    let mut removed = 0;
+    while let Some(i) = work.pop() {
+        if func.inst_parent(i).is_none() {
+            continue; // queued twice
+        }
+        func.remove_inst(i);
+        removed += 1;
+        for &op in func.inst(i).operands() {
+            if let ValueData::Inst { inst: def, .. } = *func.value(op) {
+                if func.inst_parent(def).is_some() && is_dead(func, def) {
+                    work.push(def);
+                }
+            }
+        }
+    }
+    removed
+}
+
+/// An attached instruction whose result is unused by attached code and
+/// whose execution has no observable effect.
+fn is_dead(func: &Function, i: InstId) -> bool {
+    let inst = func.inst(i);
+    !inst.is_terminator()
+        && !has_side_effects(inst)
+        && func.inst_result(i).is_none_or(|r| func.count_uses(r) == 0)
 }
 
 fn has_side_effects(inst: &llva_core::instruction::Instruction) -> bool {
@@ -171,7 +175,7 @@ mod tests {
         let _dead_div = b.div(x, y);
         b.ret(Some(x));
         let div_id = m.function(f).block(e).insts()[0];
-        m.function_mut(f).inst_mut(div_id).set_exceptions_enabled(false);
+        m.function_mut(f).set_exceptions_enabled(div_id, false);
         let mut pass = Dce::new();
         assert!(pass.run(&mut m));
         assert_eq!(count_insts(&m, "f"), 1);

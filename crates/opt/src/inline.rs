@@ -166,32 +166,15 @@ fn inline_site(module: &mut Module, caller_id: FuncId, call: InstId) {
         .add_block(format!("inl.cont.{}", call.index()));
     {
         let caller = module.function_mut(caller_id);
-        let insts = caller.block(call_block).insts().to_vec();
-        let pos = insts
+        let pos = caller
+            .block(call_block)
+            .insts()
             .iter()
             .position(|&i| i == call)
             .expect("call in its block");
-        for &i in &insts[pos + 1..] {
-            caller.remove_inst(i);
-            caller.reattach_inst(cont, i);
-        }
+        caller.move_insts(call_block, pos + 1, cont);
         // successors' phis now flow from `cont`
-        for succ in caller.successors(cont) {
-            let phis: Vec<_> = caller
-                .block(succ)
-                .insts()
-                .iter()
-                .copied()
-                .filter(|&i| caller.inst(i).opcode() == Opcode::Phi)
-                .collect();
-            for phi in phis {
-                for pb in caller.inst_mut(phi).block_operands_mut() {
-                    if *pb == call_block {
-                        *pb = cont;
-                    }
-                }
-            }
-        }
+        caller.retarget_successor_phis(cont, call_block);
     }
 
     // 2. Create one caller block per callee block.
@@ -271,8 +254,8 @@ fn inline_site(module: &mut Module, caller_id: FuncId, call: InstId) {
             .collect();
         let blocks: Vec<BlockId> = old.block_operands().iter().map(|b| block_map[b]).collect();
         let caller = module.function_mut(caller_id);
-        caller.inst_mut(*new_id).set_operands(ops);
-        caller.inst_mut(*new_id).set_block_operands(blocks);
+        caller.set_operands(*new_id, ops);
+        caller.set_block_operands(*new_id, blocks);
     }
 
     // 4. Replace the call: branch into the inlined entry; merge returns.

@@ -8,13 +8,12 @@
 //! the paper's "sparse" SSA optimizations stand on.
 
 use crate::pass::ModulePass;
-use llva_core::dominators::DomTree;
+use llva_core::dominators::{Cfg, DomTree};
 use llva_core::function::{BlockId, Function};
 use llva_core::instruction::{InstId, Instruction, Opcode};
 use llva_core::module::Module;
 use llva_core::types::TypeId;
 use llva_core::value::{Constant, ValueId};
-use std::collections::{HashMap, HashSet};
 
 /// The promotion pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,36 +64,39 @@ struct Candidate {
 }
 
 fn promote_function(func: &mut Function, candidates: Vec<Candidate>, void: TypeId) -> usize {
-    let dom = DomTree::compute(func);
-    let preds = func.predecessors();
+    let cfg = Cfg::new(func);
+    let dom = DomTree::from_cfg(&cfg);
+    let nb = cfg.num_block_ids();
 
     // Phi placement at iterated dominance frontiers of store blocks.
-    // phi_of[(block, cand_index)] -> phi InstId
-    let mut phi_of: HashMap<(BlockId, usize), InstId> = HashMap::new();
+    // phis[block] = (candidate index, phi) for each phi placed there.
+    let mut phis: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); nb];
+    // the last candidate that placed a phi at / queued each block
+    let mut placed = vec![usize::MAX; nb];
+    let mut queued = vec![usize::MAX; nb];
     for (ci, cand) in candidates.iter().enumerate() {
         let mut work: Vec<BlockId> = cand
             .stores
             .iter()
             .filter_map(|&s| func.inst_parent(s))
             .collect();
-        let mut placed: HashSet<BlockId> = HashSet::new();
-        let mut on_work: HashSet<BlockId> = work.iter().copied().collect();
+        for b in &work {
+            queued[b.index()] = ci;
+        }
         while let Some(b) = work.pop() {
             for &df in dom.frontier(b) {
-                if placed.contains(&df) {
+                if std::mem::replace(&mut placed[df.index()], ci) == ci {
                     continue;
                 }
-                placed.insert(df);
                 // Insert a phi with one incoming (undef placeholder) per
                 // predecessor; filled during renaming.
-                let block_preds = preds.get(&df).cloned().unwrap_or_default();
+                let block_preds = cfg.preds(df).to_vec();
                 let undef = func.constant(Constant::Undef(cand.pointee));
                 let operands = vec![undef; block_preds.len()];
                 let inst = Instruction::new(Opcode::Phi, cand.pointee, operands, block_preds);
                 let (phi_id, _) = func.insert_inst_at(df, 0, inst, void);
-                phi_of.insert((df, ci), phi_id);
-                if !on_work.contains(&df) {
-                    on_work.insert(df);
+                phis[df.index()].push((ci, phi_id));
+                if std::mem::replace(&mut queued[df.index()], ci) != ci {
                     work.push(df);
                 }
             }
@@ -102,64 +104,57 @@ fn promote_function(func: &mut Function, candidates: Vec<Candidate>, void: TypeI
     }
 
     // Renaming: iterative DFS over the dominator tree.
-    let n = candidates.len();
-    let mut stacks: Vec<Vec<ValueId>> = vec![Vec::new(); n];
-    let slot_of: HashMap<ValueId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.slot, i))
-        .collect();
+    let mut stacks: Vec<Vec<ValueId>> = vec![Vec::new(); candidates.len()];
+    let mut slot_of: Vec<Option<usize>> = vec![None; func.num_values()];
+    for (ci, c) in candidates.iter().enumerate() {
+        slot_of[c.slot.index()] = Some(ci);
+    }
+    let current = |func: &mut Function, stacks: &[Vec<ValueId>], ci: usize| {
+        stacks[ci]
+            .last()
+            .copied()
+            .unwrap_or_else(|| func.constant(Constant::Undef(candidates[ci].pointee)))
+    };
     let mut to_remove: Vec<InstId> = Vec::new();
 
     enum Action {
         Visit(BlockId),
-        Pop(Vec<(usize, usize)>), // (cand, how many pushes) to undo
+        Pop(Vec<usize>), // one stack entry to drop per listed candidate
     }
-    let entry = func.entry_block();
-    let mut agenda = vec![Action::Visit(entry)];
+    let mut agenda = vec![Action::Visit(func.entry_block())];
     while let Some(action) = agenda.pop() {
         match action {
             Action::Pop(pushes) => {
-                for (ci, count) in pushes {
-                    for _ in 0..count {
-                        stacks[ci].pop();
-                    }
+                for ci in pushes {
+                    stacks[ci].pop();
                 }
             }
             Action::Visit(block) => {
-                let mut pushes: Vec<(usize, usize)> = Vec::new();
-                let insts: Vec<InstId> = func.block(block).insts().to_vec();
-                for inst_id in insts {
-                    let opcode = func.inst(inst_id).opcode();
-                    match opcode {
+                let mut pushes: Vec<usize> = Vec::new();
+                for inst_id in func.block(block).insts().to_vec() {
+                    let inst = func.inst(inst_id);
+                    match inst.opcode() {
                         Opcode::Phi => {
-                            if let Some(&ci) = phi_of
-                                .iter()
-                                .find(|(&(b, _), &p)| b == block && p == inst_id)
-                                .map(|((_, ci), _)| ci)
-                            {
+                            let ours = phis[block.index()].iter().find(|&&(_, p)| p == inst_id);
+                            if let Some(&(ci, _)) = ours {
                                 let v = func.inst_result(inst_id).expect("phi has a result");
                                 stacks[ci].push(v);
-                                pushes.push((ci, 1));
+                                pushes.push(ci);
                             }
                         }
                         Opcode::Store => {
-                            let ops = func.inst(inst_id).operands().to_vec();
-                            if let Some(&ci) = slot_of.get(&ops[1]) {
-                                stacks[ci].push(ops[0]);
-                                pushes.push((ci, 1));
+                            let (value, ptr) = (inst.operands()[0], inst.operands()[1]);
+                            if let Some(ci) = slot_of[ptr.index()] {
+                                stacks[ci].push(value);
+                                pushes.push(ci);
                                 to_remove.push(inst_id);
                             }
                         }
                         Opcode::Load => {
-                            let ptr = func.inst(inst_id).operands()[0];
-                            if let Some(&ci) = slot_of.get(&ptr) {
-                                let current = stacks[ci].last().copied().unwrap_or_else(|| {
-                                    func.constant(Constant::Undef(candidates[ci].pointee))
-                                });
-                                let result =
-                                    func.inst_result(inst_id).expect("load has a result");
-                                func.replace_all_uses(result, current);
+                            if let Some(ci) = slot_of[inst.operands()[0].index()] {
+                                let result = func.inst_result(inst_id).expect("load has a result");
+                                let v = current(func, &stacks, ci);
+                                func.replace_all_uses(result, v);
                                 to_remove.push(inst_id);
                             }
                         }
@@ -167,20 +162,16 @@ fn promote_function(func: &mut Function, candidates: Vec<Candidate>, void: TypeI
                     }
                 }
                 // Fill phi incomings in CFG successors.
-                for succ in func.successors(block) {
-                    for ci in 0..n {
-                        if let Some(&phi_id) = phi_of.get(&(succ, ci)) {
-                            let current = stacks[ci].last().copied().unwrap_or_else(|| {
-                                func.constant(Constant::Undef(candidates[ci].pointee))
-                            });
-                            let inst = func.inst(phi_id);
-                            let idx = inst
-                                .block_operands()
-                                .iter()
-                                .position(|&b| b == block)
-                                .expect("edge recorded in phi");
-                            func.inst_mut(phi_id).operands_mut()[idx] = current;
-                        }
+                for &succ in cfg.succs(block) {
+                    for &(ci, phi_id) in &phis[succ.index()] {
+                        let v = current(func, &stacks, ci);
+                        let idx = func
+                            .inst(phi_id)
+                            .block_operands()
+                            .iter()
+                            .position(|&b| b == block)
+                            .expect("edge recorded in phi");
+                        func.set_operand(phi_id, idx, v);
                     }
                 }
                 // Recurse into dominator-tree children.
@@ -201,39 +192,37 @@ fn promote_function(func: &mut Function, candidates: Vec<Candidate>, void: TypeI
     candidates.len()
 }
 
+/// Scalar allocas whose address is only loaded from and stored to, found
+/// from each slot's use list.
 fn find_candidates(module: &Module, fid: llva_core::module::FuncId) -> Vec<Candidate> {
     let func = module.function(fid);
-    // Collect allocas and every use of their result values.
-    let mut allocas: Vec<(InstId, ValueId, TypeId)> = Vec::new();
-    for (_, inst_id) in func.inst_iter() {
-        let inst = func.inst(inst_id);
-        if inst.opcode() == Opcode::Alloca && inst.operands().is_empty() {
-            if let Some(v) = func.inst_result(inst_id) {
-                allocas.push((inst_id, v, inst.result_type()));
-            }
-        }
-    }
+    let types = module.types();
     let mut out = Vec::new();
-    'next: for (alloca, slot, ptr_ty) in allocas {
-        let mut stores = Vec::new();
-        for (_, use_id) in func.inst_iter() {
-            let inst = func.inst(use_id);
-            for (oi, &op) in inst.operands().iter().enumerate() {
-                if op != slot {
-                    continue;
-                }
-                match inst.opcode() {
-                    Opcode::Load => {}
-                    Opcode::Store if oi == 1 => stores.push(use_id),
-                    _ => continue 'next, // address escapes
-                }
-            }
+    'next: for (_, alloca) in func.inst_iter() {
+        let inst = func.inst(alloca);
+        if inst.opcode() != Opcode::Alloca || !inst.operands().is_empty() {
+            continue;
         }
-        let Some(pointee) = module.types().pointee(ptr_ty) else {
+        let Some(slot) = func.inst_result(alloca) else {
             continue;
         };
-        if !module.types().is_scalar(pointee) {
+        let Some(pointee) = types
+            .pointee(inst.result_type())
+            .filter(|&p| types.is_scalar(p))
+        else {
             continue;
+        };
+        let mut stores = Vec::new();
+        for user in func.users(slot) {
+            if func.inst_parent(user).is_none() {
+                continue;
+            }
+            let u = func.inst(user);
+            match u.opcode() {
+                Opcode::Load => {}
+                Opcode::Store if u.operands()[0] != slot => stores.push(user),
+                _ => continue 'next, // address escapes
+            }
         }
         out.push(Candidate {
             alloca,

@@ -13,11 +13,10 @@
 //! paper argues should happen *before* translation (§4.2, item 1).
 
 use crate::pass::ModulePass;
-use llva_core::dominators::reverse_postorder;
+use llva_core::dominators::Cfg;
 use llva_core::function::{BlockId, Function};
 use llva_core::instruction::Opcode;
 use llva_core::module::Module;
-use std::collections::HashSet;
 
 /// The CFG simplification pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,8 +84,8 @@ fn collapse_same_target_cond_br(func: &mut Function) -> bool {
             let targets = inst.block_operands();
             if targets.len() == 2 && targets[0] == targets[1] {
                 let dest = targets[0];
-                func.inst_mut(t).set_operands(vec![]);
-                func.inst_mut(t).set_block_operands(vec![dest]);
+                func.set_operands(t, vec![]);
+                func.set_block_operands(t, vec![dest]);
                 changed = true;
             }
         }
@@ -97,18 +96,22 @@ fn collapse_same_target_cond_br(func: &mut Function) -> bool {
 /// Removes blocks unreachable from the entry, pruning phi entries in
 /// the remaining blocks. Returns how many were removed.
 fn remove_unreachable(func: &mut Function) -> usize {
-    let reachable: HashSet<BlockId> = reverse_postorder(func).into_iter().collect();
+    let rpo = Cfg::new(func).reverse_postorder();
+    let mut reachable = vec![false; func.num_block_ids()];
+    for b in &rpo {
+        reachable[b.index()] = true;
+    }
     let dead: Vec<BlockId> = func
         .block_order()
         .iter()
         .copied()
-        .filter(|b| !reachable.contains(b))
+        .filter(|b| !reachable[b.index()])
         .collect();
     if dead.is_empty() {
         return 0;
     }
     // prune phi entries that flow in from dead blocks
-    for &b in &reachable {
+    for &b in &rpo {
         let phis: Vec<_> = func
             .block(b)
             .insts()
@@ -122,14 +125,14 @@ fn remove_unreachable(func: &mut Function) -> usize {
                 .block_operands()
                 .iter()
                 .enumerate()
-                .filter(|(_, pb)| reachable.contains(pb))
+                .filter(|(_, pb)| reachable[pb.index()])
                 .map(|(i, _)| i)
                 .collect();
             if keep.len() != inst.block_operands().len() {
                 let ops: Vec<_> = keep.iter().map(|&i| inst.operands()[i]).collect();
                 let blocks: Vec<_> = keep.iter().map(|&i| inst.block_operands()[i]).collect();
-                func.inst_mut(phi).set_operands(ops);
-                func.inst_mut(phi).set_block_operands(blocks);
+                func.set_operands(phi, ops);
+                func.set_block_operands(phi, blocks);
             }
         }
     }
@@ -142,69 +145,42 @@ fn remove_unreachable(func: &mut Function) -> usize {
 
 /// Merges `b2` into `b1` when `b1` ends in `br label %b2` and `b2` has
 /// exactly one predecessor. Returns how many merges were performed.
+///
+/// A merge hands `b2`'s out-edges to `b1` and drops the `b1 -> b2` edge
+/// with `b2`, so every surviving block keeps its number of incoming
+/// edges: one CFG snapshot answers "exactly one predecessor" for the
+/// whole sweep, and each block absorbs its whole chain in one visit.
 fn merge_straight_line(func: &mut Function) -> usize {
+    let cfg = Cfg::new(func);
+    let entry = func.entry_block();
     let mut merged = 0;
-    loop {
-        let preds = func.predecessors();
-        let mut candidate: Option<(BlockId, BlockId)> = None;
-        for &b1 in func.block_order() {
-            let Some(t) = func.terminator(b1) else { continue };
+    for b1 in func.block_order().to_vec() {
+        // a block merged away earlier is empty and has no terminator
+        while let Some(t) = func.terminator(b1) {
             let inst = func.inst(t);
             if inst.opcode() != Opcode::Br || !inst.operands().is_empty() {
-                continue;
+                break;
             }
             let b2 = inst.block_operands()[0];
-            if b2 == b1 {
-                continue; // self-loop
-            }
-            if b2 == func.entry_block() {
-                continue;
-            }
-            let p = preds.get(&b2).map(Vec::as_slice).unwrap_or(&[]);
-            if p.len() == 1 && p[0] == b1 {
-                // b2 must not start with phis referencing b1 (after a
-                // single-pred prune they are collapsible, but leave that
-                // to constfold's phi collapse; skip if phis present).
-                let has_phi = func
-                    .block(b2)
-                    .insts()
-                    .first()
-                    .map(|&i| func.inst(i).opcode() == Opcode::Phi)
-                    .unwrap_or(false);
-                if !has_phi {
-                    candidate = Some((b1, b2));
-                    break;
-                }
-            }
-        }
-        let Some((b1, b2)) = candidate else { break };
-        // Move b2's instructions into b1 (dropping b1's terminator).
-        let term = func.terminator(b1).expect("b1 has a br");
-        func.remove_inst(term);
-        let b2_insts: Vec<_> = func.block(b2).insts().to_vec();
-        for i in b2_insts {
-            func.remove_inst(i);
-            func.reattach_inst(b1, i);
-        }
-        // phis in b2's successors must now name b1 as predecessor.
-        for succ in func.successors(b1) {
-            let phis: Vec<_> = func
-                .block(succ)
+            // b2 must not start with phis referencing b1 (after a
+            // single-pred prune they are collapsible, but leave that to
+            // constfold's phi collapse; skip if phis present).
+            let starts_with_phi = func
+                .block(b2)
                 .insts()
-                .iter()
-                .copied()
-                .filter(|&i| func.inst(i).opcode() == Opcode::Phi)
-                .collect();
-            for phi in phis {
-                for pb in func.inst_mut(phi).block_operands_mut() {
-                    if *pb == b2 {
-                        *pb = b1;
-                    }
-                }
+                .first()
+                .is_some_and(|&i| func.inst(i).opcode() == Opcode::Phi);
+            if b2 == b1 || b2 == entry || cfg.preds(b2).len() != 1 || starts_with_phi {
+                break;
             }
+            // Move b2's instructions into b1 (dropping b1's terminator).
+            func.remove_inst(t);
+            func.move_insts(b2, 0, b1);
+            // phis in b2's successors must now name b1 as predecessor.
+            func.retarget_successor_phis(b1, b2);
+            func.remove_block(b2);
+            merged += 1;
         }
-        func.remove_block(b2);
-        merged += 1;
     }
     merged
 }

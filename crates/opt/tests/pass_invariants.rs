@@ -7,6 +7,11 @@
 //! pass manager with the pass's name, attributing the bug precisely
 //! instead of letting a later pass or executor trip over it.
 //!
+//! Every function's def-use chains are checked against its operands
+//! after each pass too (`Function::check_uses`), declarations included,
+//! so a use-list bug in one of `Function`'s mutators is caught at the
+//! pass that triggered it.
+//!
 //! Semantic preservation per pass is covered by the conformance
 //! harness's `pass:<name>` oracle stages; this suite is the cheaper,
 //! wider structural sweep.
@@ -35,6 +40,12 @@ fn run_one(pass: Box<dyn llva_opt::ModulePass>, module: &llva_core::module::Modu
     pm.run(&mut m); // panics with the pass name if verification fails
     llva_core::verifier::verify_module(&m)
         .unwrap_or_else(|e| panic!("seed {seed}: pass '{name}' left a malformed module: {e}"));
+    for (_, func) in m.functions() {
+        let fname = func.name();
+        func.check_uses().unwrap_or_else(|e| {
+            panic!("seed {seed}: '{name}' desynchronised {fname}'s use lists: {e}")
+        });
+    }
 }
 
 #[test]

@@ -241,6 +241,126 @@ fn dominator_properties() {
     }
 }
 
+/// A random CFG over 2–12 blocks ending in `ret`, `br`, two-way `br` or a
+/// three-target `mbr`, with loops, irreducible regions, duplicate edges
+/// and unreachable blocks. As in every front end's output, no edge
+/// re-enters the entry block (the frontier formulation assumes an entry
+/// without predecessors).
+fn random_cfg(seed: u64) -> (Module, llva::core::module::FuncId) {
+    use llva::core::instruction::{Instruction, Opcode};
+    use llva::core::value::Constant;
+    let mut rng = Rng::new(0xD0_0000 + seed);
+    let mut m = Module::new("cfg", llva::core::layout::TargetConfig::default());
+    let int = m.types_mut().int();
+    let void = m.types_mut().void();
+    let f = m.add_function("f", int, vec![int]);
+    let func = m.function_mut(f);
+    let n = 2 + rng.index(11);
+    let blocks: Vec<_> = (0..n).map(|i| func.add_block(format!("b{i}"))).collect();
+    let x = func.args()[0];
+    let cond = func.constant(Constant::Bool(true));
+    let cases: Vec<_> = (0..2)
+        .map(|k| func.constant(Constant::Int { ty: int, bits: k }))
+        .collect();
+    for &b in &blocks {
+        let shape = rng.index(5);
+        let mut target = || blocks[1 + rng.index(n - 1)];
+        let (ops, targets) = match shape {
+            0 => (vec![x], vec![]),
+            1 | 2 => (vec![], vec![target()]),
+            3 => (vec![cond], vec![target(), target()]),
+            _ => (
+                vec![x, cases[0], cases[1]],
+                vec![target(), target(), target()],
+            ),
+        };
+        let op = match (ops.len(), targets.len()) {
+            (1, 0) => Opcode::Ret,
+            (_, 3) => Opcode::Mbr,
+            _ => Opcode::Br,
+        };
+        func.append_inst(b, Instruction::new(op, void, ops, targets), void);
+    }
+    (m, f)
+}
+
+#[test]
+fn dominators_match_brute_force_reference() {
+    use llva::core::dominators::DomTree;
+    use llva::core::function::{BlockId, Function};
+    // blocks reachable from the entry without passing `removed`
+    fn reachable(func: &Function, removed: Option<BlockId>) -> Vec<bool> {
+        let entry = func.entry_block();
+        let mut seen = vec![false; func.num_block_ids()];
+        if removed == Some(entry) {
+            return seen;
+        }
+        seen[entry.index()] = true;
+        let mut stack = vec![entry];
+        while let Some(b) = stack.pop() {
+            for s in func.successors(b) {
+                if Some(s) != removed && !std::mem::replace(&mut seen[s.index()], true) {
+                    stack.push(s);
+                }
+            }
+        }
+        seen
+    }
+    for seed in 0..CASES * 8 {
+        let (m, f) = random_cfg(seed);
+        let func = m.function(f);
+        let dom = DomTree::compute(func);
+        let blocks = func.block_order().to_vec();
+        let reach = reachable(func, None);
+        let cut: Vec<Vec<bool>> = blocks.iter().map(|&a| reachable(func, Some(a))).collect();
+        // a dominates b iff removing a makes b unreachable from the entry
+        let dominates = |a: BlockId, b: BlockId| {
+            reach[a.index()] && reach[b.index()] && (a == b || !cut[a.index()][b.index()])
+        };
+        let strictly = |a: BlockId, b: BlockId| a != b && dominates(a, b);
+        // the immediate dominator: the strict dominator every other one dominates
+        let idom = |b: BlockId| {
+            let sdoms: Vec<BlockId> = blocks.iter().copied().filter(|&a| strictly(a, b)).collect();
+            sdoms
+                .iter()
+                .copied()
+                .find(|&d| sdoms.iter().all(|&s| dominates(s, d)))
+        };
+        let preds = |b: BlockId| -> Vec<BlockId> {
+            blocks
+                .iter()
+                .copied()
+                .filter(|&p| reach[p.index()] && func.successors(p).contains(&b))
+                .collect()
+        };
+        for &a in &blocks {
+            assert_eq!(dom.is_reachable(a), reach[a.index()], "seed {seed}: {a}");
+            assert_eq!(dom.idom(a), idom(a), "seed {seed}: idom of {a}");
+            for &b in &blocks {
+                assert_eq!(
+                    dom.dominates(a, b),
+                    dominates(a, b),
+                    "seed {seed}: {a} dom {b}"
+                );
+            }
+            let children: Vec<BlockId> = blocks
+                .iter()
+                .copied()
+                .filter(|&b| idom(b) == Some(a))
+                .collect();
+            assert_eq!(dom.children(a), children, "seed {seed}: children of {a}");
+            // in reverse postorder, the order phi placement consumes
+            let frontier: Vec<BlockId> = dom
+                .reverse_postorder()
+                .iter()
+                .copied()
+                .filter(|&b| !strictly(a, b) && preds(b).iter().any(|&p| dominates(a, p)))
+                .collect();
+            assert_eq!(dom.frontier(a), frontier, "seed {seed}: frontier of {a}");
+        }
+    }
+}
+
 #[test]
 fn encoding_stats_are_consistent() {
     let cfg = GenConfig::default();
