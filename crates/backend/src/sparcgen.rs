@@ -1270,6 +1270,7 @@ mod tests {
     use llva_machine::common::Exit;
     use llva_machine::memory::Memory;
     use llva_machine::sparc::{SparcMachine, SparcProgram};
+    use llva_machine::Isa;
 
     fn compile_and_run(src: &str, args: &[u64]) -> Exit {
         let mut m = llva_core::parser::parse_module(src).expect("parses");

@@ -48,9 +48,9 @@ mod x86_rules {
                 let regs: Vec<u64> = Gpr::ALL
                     .iter()
                     .filter(|r| **r != Gpr::Esp) // stream lengths differ only in pc
-                    .map(|r| m.reg(*r))
+                    .map(|r| m.cpu.regs.gpr[*r as usize])
                     .collect();
-                let word = m.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
+                let word = m.cpu.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
                 (v, regs, word)
             }
             other => panic!("stream did not halt: {other:?}"),
@@ -139,8 +139,8 @@ mod sparc_rules {
         m.call_entry(0, &[]).expect("entry");
         match m.run(&program, 10_000) {
             Exit::Halt(v) => {
-                let regs = vec![m.reg(O0), m.reg(G1), m.reg(G2), m.reg(G3)];
-                let word = m.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
+                let regs = [O0, G1, G2, G3].map(|r| m.cpu.regs.gpr[r.0 as usize]).to_vec();
+                let word = m.cpu.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
                 (v, regs, word)
             }
             other => panic!("stream did not halt: {other:?}"),
@@ -255,8 +255,8 @@ mod riscv_rules {
         m.call_entry(0, &[]).expect("entry");
         match m.run(&program, 10_000) {
             Exit::Halt(v) => {
-                let regs = vec![m.reg(A0), m.reg(T0), m.reg(T1)];
-                let word = m.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
+                let regs = [A0, T0, T1].map(|r| m.cpu.regs.gpr[r.0 as usize]).to_vec();
+                let word = m.cpu.mem.load(SCRATCH as u64, Width::B8).unwrap_or(0);
                 (v, regs, word)
             }
             other => panic!("stream did not halt: {other:?}"),

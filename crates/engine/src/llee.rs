@@ -48,10 +48,11 @@ use llva_backend::{
 };
 use llva_core::module::{FuncId, Module};
 use llva_machine::common::{ExecStats, Exit, Trap};
+use llva_machine::core::{Isa, Machine, Program};
 use llva_machine::memory::{Memory, GLOBAL_BASE};
-use llva_machine::riscv::{RiscvMachine, RiscvProgram};
-use llva_machine::sparc::{SparcMachine, SparcProgram};
-use llva_machine::x86::{X86Machine, X86Program};
+use llva_machine::riscv::RiscvInst;
+use llva_machine::sparc::SparcInst;
+use llva_machine::x86::X86Inst;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -235,23 +236,172 @@ pub struct RunOutcome {
     pub stats: ExecStats,
 }
 
-// One `Engine` exists per `ExecutionManager` and lives as long as it,
-// so the variant size gap doesn't matter; boxing the machines would
-// put an indirection on the simulator hot path.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    X86 {
-        program: X86Program,
-        machine: X86Machine,
-    },
-    Sparc {
-        program: SparcProgram,
-        machine: SparcMachine,
-    },
-    Riscv {
-        program: RiscvProgram,
-        machine: RiscvMachine,
-    },
+/// What LLEE needs of an implementation ISA besides running it: its
+/// translator and its native code format. These are the only per-ISA
+/// lines of the execution manager.
+trait Target: Isa + Send + 'static {
+    fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self>;
+    fn encode(code: &[Self]) -> Vec<u8>;
+    fn decode(blob: &[u8]) -> Option<Vec<Self>>;
+}
+
+impl Target for X86Inst {
+    fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
+        compile_x86_with(module, f, peep)
+    }
+    fn encode(code: &[Self]) -> Vec<u8> {
+        codec::encode_x86(code)
+    }
+    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
+        codec::decode_x86(blob).ok()
+    }
+}
+
+impl Target for SparcInst {
+    fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
+        compile_sparc_with(module, f, peep)
+    }
+    fn encode(code: &[Self]) -> Vec<u8> {
+        codec::encode_sparc(code)
+    }
+    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
+        codec::decode_sparc(blob).ok()
+    }
+}
+
+impl Target for RiscvInst {
+    fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
+        compile_riscv_with(module, f, peep)
+    }
+    fn encode(code: &[Self]) -> Vec<u8> {
+        codec::encode_riscv(code)
+    }
+    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
+        codec::decode_riscv(blob).ok()
+    }
+}
+
+/// One ISA's resident native code and the process running it.
+struct Native<I> {
+    program: Program<I>,
+    machine: Machine<I>,
+}
+
+/// The ISA-independent face of [`Native`]: everything the manager asks
+/// of the translated program and the simulated processor.
+trait Engine {
+    /// Replaces the process with a fresh one over `mem`.
+    fn new_process(&mut self, mem: Memory);
+    fn mem(&self) -> &Memory;
+    fn mem_mut(&mut self) -> &mut Memory;
+    fn exec_stats(&self) -> ExecStats;
+    fn call_entry(&mut self, f: u32, args: &[u64]) -> Result<(), Trap>;
+    fn run(&mut self, fuel: u64) -> Exit;
+    /// The functions on the call stack (innermost first) and the
+    /// current `(function, pc)`.
+    fn stack(&self) -> (Vec<u32>, (u32, u32));
+    fn finish_intrinsic(&mut self, ret: u64);
+    fn program_size(&self) -> (usize, usize);
+    fn global_addr(&self, g: u32) -> u64;
+    fn is_installed(&self, f: u32) -> bool;
+    fn invalidate(&mut self, f: u32);
+    fn ensure_slots(&mut self, n: usize);
+    /// Decodes and installs a native blob; false when it does not decode.
+    fn install_blob(&mut self, f: u32, blob: &[u8]) -> bool;
+    /// The installed code of `f`, encoded.
+    fn encoded(&self, f: u32) -> Option<Vec<u8>>;
+    /// Compiles and installs `f`, returning the encoded code.
+    fn translate(&mut self, module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<u8>;
+    /// Compiles `work` on up to `n_workers` threads, each function's
+    /// compilation isolated by `catch_unwind`, and installs the results
+    /// in `work` order: the encoded code per item, `None` where it
+    /// panicked.
+    fn translate_batch(
+        &mut self,
+        module: &Module,
+        work: &[u32],
+        n_workers: usize,
+        peep: &PeepholeConfig,
+    ) -> Vec<Option<Vec<u8>>>;
+}
+
+impl<I: Target> Engine for Native<I> {
+    fn new_process(&mut self, mem: Memory) {
+        self.machine = Machine::new(mem);
+    }
+    fn mem(&self) -> &Memory {
+        &self.machine.cpu.mem
+    }
+    fn mem_mut(&mut self) -> &mut Memory {
+        &mut self.machine.cpu.mem
+    }
+    fn exec_stats(&self) -> ExecStats {
+        self.machine.stats()
+    }
+    fn call_entry(&mut self, f: u32, args: &[u64]) -> Result<(), Trap> {
+        self.machine.call_entry(f, args)
+    }
+    fn run(&mut self, fuel: u64) -> Exit {
+        self.machine.run(&self.program, fuel)
+    }
+    fn stack(&self) -> (Vec<u32>, (u32, u32)) {
+        (self.machine.stack(), self.machine.current_location())
+    }
+    fn finish_intrinsic(&mut self, ret: u64) {
+        self.machine.finish_intrinsic(ret);
+    }
+    fn program_size(&self) -> (usize, usize) {
+        (self.program.total_insts(), self.program.total_bytes())
+    }
+    fn global_addr(&self, g: u32) -> u64 {
+        self.program.global_addr(g)
+    }
+    fn is_installed(&self, f: u32) -> bool {
+        self.program.is_installed(f)
+    }
+    fn invalidate(&mut self, f: u32) {
+        self.program.invalidate(f);
+    }
+    fn ensure_slots(&mut self, n: usize) {
+        self.program.ensure_slots(n);
+    }
+    fn install_blob(&mut self, f: u32, blob: &[u8]) -> bool {
+        I::decode(blob).map(|code| self.program.install(f, code)).is_some()
+    }
+    fn encoded(&self, f: u32) -> Option<Vec<u8>> {
+        self.program.code(f).map(I::encode)
+    }
+    fn translate(&mut self, module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<u8> {
+        let code = I::compile(module, f, peep);
+        let blob = I::encode(&code);
+        self.program.install(f.index() as u32, code);
+        blob
+    }
+    fn translate_batch(
+        &mut self,
+        module: &Module,
+        work: &[u32],
+        n_workers: usize,
+        peep: &PeepholeConfig,
+    ) -> Vec<Option<Vec<u8>>> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let compiled = compile_batch(work, n_workers, |fid| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let code = I::compile(module, fid, peep);
+                let blob = I::encode(&code);
+                (code, blob)
+            }))
+            .ok()
+        });
+        work.iter()
+            .zip(compiled)
+            .map(|(&f, result)| {
+                let (code, blob) = result?;
+                self.program.install(f, code);
+                Some(blob)
+            })
+            .collect()
+    }
 }
 
 /// The LLVA execution environment: owns the module, the simulated
@@ -259,7 +409,7 @@ enum Engine {
 pub struct ExecutionManager {
     module: Module,
     isa: TargetIsa,
-    engine: Engine,
+    engine: Box<dyn Engine>,
     /// Intrinsic state (I/O, privileged bit, trap handlers).
     pub env: Env,
     storage: Option<Box<dyn Storage>>,
@@ -331,19 +481,17 @@ impl ExecutionManager {
         module.set_target(target);
         let image = layout_globals(&module);
         let mem = Memory::new(mem_size, image.heap_base, target.endianness);
+        fn native<I: Target>(n: usize, addrs: Vec<u64>, mem: Memory) -> Box<dyn Engine> {
+            Box::new(Native::<I> {
+                program: Program::new(n, addrs),
+                machine: Machine::new(mem),
+            })
+        }
+        let n = module.num_functions();
         let engine = match isa {
-            TargetIsa::X86 => Engine::X86 {
-                program: X86Program::new(module.num_functions(), image.addrs),
-                machine: X86Machine::new(mem),
-            },
-            TargetIsa::Sparc => Engine::Sparc {
-                program: SparcProgram::new(module.num_functions(), image.addrs),
-                machine: SparcMachine::new(mem),
-            },
-            TargetIsa::Riscv => Engine::Riscv {
-                program: RiscvProgram::new(module.num_functions(), image.addrs),
-                machine: RiscvMachine::new(mem),
-            },
+            TargetIsa::X86 => native::<X86Inst>(n, image.addrs, mem),
+            TargetIsa::Sparc => native::<SparcInst>(n, image.addrs, mem),
+            TargetIsa::Riscv => native::<RiscvInst>(n, image.addrs, mem),
         };
         let func_names = module
             .functions()
@@ -386,12 +534,9 @@ impl ExecutionManager {
     /// address space this manager was created with.
     pub fn start_process(&mut self) {
         self.end_process();
-        let mem = match &mut self.engine {
-            Engine::X86 { machine, .. } => &mut machine.mem,
-            Engine::Sparc { machine, .. } => &mut machine.mem,
-            Engine::Riscv { machine, .. } => &mut machine.mem,
-        };
-        mem.write_bytes(GLOBAL_BASE, &self.global_image)
+        self.engine
+            .mem_mut()
+            .write_bytes(GLOBAL_BASE, &self.global_image)
             .expect("global image fits");
     }
 
@@ -405,11 +550,7 @@ impl ExecutionManager {
             self.heap_base,
             self.module.target().endianness,
         );
-        match &mut self.engine {
-            Engine::X86 { machine, .. } => *machine = X86Machine::new(mem),
-            Engine::Sparc { machine, .. } => *machine = SparcMachine::new(mem),
-            Engine::Riscv { machine, .. } => *machine = RiscvMachine::new(mem),
-        }
+        self.engine.new_process(mem);
         self.env = Env::new();
     }
 
@@ -459,48 +600,27 @@ impl ExecutionManager {
 
     /// Machine execution statistics.
     pub fn exec_stats(&self) -> ExecStats {
-        match &self.engine {
-            Engine::X86 { machine, .. } => machine.stats(),
-            Engine::Sparc { machine, .. } => machine.stats(),
-            Engine::Riscv { machine, .. } => machine.stats(),
-        }
+        self.engine.exec_stats()
     }
 
     /// Total native instructions across installed translations.
     pub fn installed_insts(&self) -> usize {
-        match &self.engine {
-            Engine::X86 { program, .. } => program.total_insts(),
-            Engine::Sparc { program, .. } => program.total_insts(),
-            Engine::Riscv { program, .. } => program.total_insts(),
-        }
+        self.engine.program_size().0
     }
 
     /// Total native code bytes across installed translations.
     pub fn installed_bytes(&self) -> usize {
-        match &self.engine {
-            Engine::X86 { program, .. } => program.total_bytes(),
-            Engine::Sparc { program, .. } => program.total_bytes(),
-            Engine::Riscv { program, .. } => program.total_bytes(),
-        }
+        self.engine.program_size().1
     }
 
     /// Reads `len` bytes of simulated memory (tests, profiling).
     pub fn read_memory(&self, addr: u64, len: u64) -> Option<Vec<u8>> {
-        let mem = match &self.engine {
-            Engine::X86 { machine, .. } => &machine.mem,
-            Engine::Sparc { machine, .. } => &machine.mem,
-            Engine::Riscv { machine, .. } => &machine.mem,
-        };
-        mem.read_bytes(addr, len).ok()
+        self.engine.mem().read_bytes(addr, len).ok()
     }
 
     /// The relocated address of a global (profiling support).
     pub fn global_addr(&self, g: llva_core::module::GlobalId) -> u64 {
-        match &self.engine {
-            Engine::X86 { program, .. } => program.global_addr(g.index() as u32),
-            Engine::Sparc { program, .. } => program.global_addr(g.index() as u32),
-            Engine::Riscv { program, .. } => program.global_addr(g.index() as u32),
-        }
+        self.engine.global_addr(g.index() as u32)
     }
 
     /// The storage name under which function `f`'s translation is
@@ -520,11 +640,7 @@ impl ExecutionManager {
 
     /// Whether function `f`'s translation is already installed.
     pub fn is_function_installed(&self, f: u32) -> bool {
-        match &self.engine {
-            Engine::X86 { program, .. } => program.is_installed(f),
-            Engine::Sparc { program, .. } => program.is_installed(f),
-            Engine::Riscv { program, .. } => program.is_installed(f),
-        }
+        self.engine.is_installed(f)
     }
 
     /// Attaches a persistent image's native section for this manager's
@@ -571,21 +687,9 @@ impl ExecutionManager {
             self.stats.image_stale += 1;
             return false;
         }
-        let blob = &idx.image.raw_bytes()[range.clone()];
-        let ok = match &mut self.engine {
-            Engine::X86 { program, .. } => codec::decode_x86(blob)
-                .ok()
-                .map(|code| program.install(f, code))
-                .is_some(),
-            Engine::Sparc { program, .. } => codec::decode_sparc(blob)
-                .ok()
-                .map(|code| program.install(f, code))
-                .is_some(),
-            Engine::Riscv { program, .. } => codec::decode_riscv(blob)
-                .ok()
-                .map(|code| program.install(f, code))
-                .is_some(),
-        };
+        let ok = self
+            .engine
+            .install_blob(f, &idx.image.raw_bytes()[range.clone()]);
         if ok {
             self.stats.image_hits += 1;
         } else {
@@ -604,18 +708,8 @@ impl ExecutionManager {
         self.defined_functions()
             .into_iter()
             .filter_map(|f| {
-                let blob = match &self.engine {
-                    Engine::X86 { program, .. } => {
-                        program.code(f).map(|code| codec::encode_x86(code))
-                    }
-                    Engine::Sparc { program, .. } => {
-                        program.code(f).map(|code| codec::encode_sparc(code))
-                    }
-                    Engine::Riscv { program, .. } => {
-                        program.code(f).map(|code| codec::encode_riscv(code))
-                    }
-                };
-                blob.map(|blob| (f, self.func_hashes[f as usize], blob))
+                let blob = self.engine.encoded(f)?;
+                Some((f, self.func_hashes[f as usize], blob))
             })
             .collect()
     }
@@ -673,19 +767,7 @@ impl ExecutionManager {
             }
             saw_fresh = true;
             let installed = codec::unframe_entry(&key, &blob)
-                .ok()
-                .and_then(|payload| match &mut self.engine {
-                    Engine::X86 { program, .. } => codec::decode_x86(payload)
-                        .ok()
-                        .map(|code| program.install(f, code)),
-                    Engine::Sparc { program, .. } => codec::decode_sparc(payload)
-                        .ok()
-                        .map(|code| program.install(f, code)),
-                    Engine::Riscv { program, .. } => codec::decode_riscv(payload)
-                        .ok()
-                        .map(|code| program.install(f, code)),
-                })
-                .is_some();
+                .is_ok_and(|payload| self.engine.install_blob(f, payload));
             if installed {
                 if attempt > 0 {
                     self.stats.retried_ok += 1;
@@ -780,27 +862,7 @@ impl ExecutionManager {
         }
         // JIT translation
         let start = Instant::now();
-        let peep = self.peephole;
-        let blob = match &mut self.engine {
-            Engine::X86 { program, .. } => {
-                let code = compile_x86_with(&self.module, fid, &peep);
-                let blob = codec::encode_x86(&code);
-                program.install(f, code);
-                blob
-            }
-            Engine::Sparc { program, .. } => {
-                let code = compile_sparc_with(&self.module, fid, &peep);
-                let blob = codec::encode_sparc(&code);
-                program.install(f, code);
-                blob
-            }
-            Engine::Riscv { program, .. } => {
-                let code = compile_riscv_with(&self.module, fid, &peep);
-                let blob = codec::encode_riscv(&code);
-                program.install(f, code);
-                blob
-            }
-        };
+        let blob = self.engine.translate(&self.module, fid, &self.peephole);
         self.stats.translate_time += start.elapsed();
         self.stats.functions_translated += 1;
         // write back to the offline cache, framed for validation and
@@ -858,7 +920,6 @@ impl ExecutionManager {
     /// and written back, and the first poisoned function is reported as
     /// [`EngineError::TranslationPanicked`].
     pub fn translate_all_parallel(&mut self, n_workers: usize) -> Result<(), EngineError> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let n_workers = if n_workers == 0 {
             Self::default_workers()
         } else {
@@ -892,68 +953,18 @@ impl ExecutionManager {
         if work.is_empty() {
             return Ok(());
         }
-        // parallel compile (compile_* are pure over &Module), each
-        // function's compilation isolated by catch_unwind, then a
+        // parallel compile (compile_* are pure over &Module), then a
         // serial install pass in work-list order for determinism
         let start = Instant::now();
-        let module = &self.module;
-        let peep = self.peephole;
+        let compiled = self
+            .engine
+            .translate_batch(&self.module, &work, n_workers, &self.peephole);
         let mut blobs: Vec<(u32, Vec<u8>)> = Vec::with_capacity(work.len());
         let mut poisoned: Option<u32> = None;
-        match &mut self.engine {
-            Engine::X86 { program, .. } => {
-                let compiled = compile_batch(&work, n_workers, |fid| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let code = compile_x86_with(module, fid, &peep);
-                        let blob = codec::encode_x86(&code);
-                        (code, blob)
-                    }))
-                });
-                for (&f, result) in work.iter().zip(compiled) {
-                    match result {
-                        Ok((code, blob)) => {
-                            program.install(f, code);
-                            blobs.push((f, blob));
-                        }
-                        Err(_) => poisoned = poisoned.or(Some(f)),
-                    }
-                }
-            }
-            Engine::Sparc { program, .. } => {
-                let compiled = compile_batch(&work, n_workers, |fid| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let code = compile_sparc_with(module, fid, &peep);
-                        let blob = codec::encode_sparc(&code);
-                        (code, blob)
-                    }))
-                });
-                for (&f, result) in work.iter().zip(compiled) {
-                    match result {
-                        Ok((code, blob)) => {
-                            program.install(f, code);
-                            blobs.push((f, blob));
-                        }
-                        Err(_) => poisoned = poisoned.or(Some(f)),
-                    }
-                }
-            }
-            Engine::Riscv { program, .. } => {
-                let compiled = compile_batch(&work, n_workers, |fid| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let code = compile_riscv_with(module, fid, &peep);
-                        let blob = codec::encode_riscv(&code);
-                        (code, blob)
-                    }))
-                });
-                for (&f, result) in work.iter().zip(compiled) {
-                    match result {
-                        Ok((code, blob)) => {
-                            program.install(f, code);
-                            blobs.push((f, blob));
-                        }
-                        Err(_) => poisoned = poisoned.or(Some(f)),
-                    }
-                }
+        for (&f, blob) in work.iter().zip(compiled) {
+            match blob {
+                Some(blob) => blobs.push((f, blob)),
+                None => poisoned = poisoned.or(Some(f)),
             }
         }
         self.stats.translate_time += start.elapsed();
@@ -1022,11 +1033,7 @@ impl ExecutionManager {
     /// activation keeps running old code; the *next* call retranslates.
     pub fn invalidate_function(&mut self, name: &str) {
         if let Some(fid) = self.module.function_by_name(name) {
-            match &mut self.engine {
-                Engine::X86 { program, .. } => program.invalidate(fid.index() as u32),
-                Engine::Sparc { program, .. } => program.invalidate(fid.index() as u32),
-                Engine::Riscv { program, .. } => program.invalidate(fid.index() as u32),
-            }
+            self.engine.invalidate(fid.index() as u32);
             self.stats.invalidations += 1;
         }
     }
@@ -1046,11 +1053,7 @@ impl ExecutionManager {
         self.func_cache
             .resize(self.func_hashes.len(), FuncCacheStats::default());
         // self-extending code may have added functions (§3.4)
-        match &mut self.engine {
-            Engine::X86 { program, .. } => program.ensure_slots(self.module.num_functions()),
-            Engine::Sparc { program, .. } => program.ensure_slots(self.module.num_functions()),
-            Engine::Riscv { program, .. } => program.ensure_slots(self.module.num_functions()),
-        }
+        self.engine.ensure_slots(self.module.num_functions());
         self.func_names = self
             .module
             .functions()
@@ -1070,25 +1073,11 @@ impl ExecutionManager {
             .function_by_name(name)
             .filter(|&f| !self.module.function(f).is_declaration())
             .ok_or_else(|| EngineError::NoSuchFunction(name.to_string()))?;
-        let f = fid.index() as u32;
-        match &mut self.engine {
-            Engine::X86 { machine, .. } => machine
-                .call_entry(f, args)
-                .map_err(EngineError::Trapped)?,
-            Engine::Sparc { machine, .. } => machine
-                .call_entry(f, args)
-                .map_err(EngineError::Trapped)?,
-            Engine::Riscv { machine, .. } => machine
-                .call_entry(f, args)
-                .map_err(EngineError::Trapped)?,
-        }
+        self.engine
+            .call_entry(fid.index() as u32, args)
+            .map_err(EngineError::Trapped)?;
         loop {
-            let exit = match &mut self.engine {
-                Engine::X86 { program, machine } => machine.run(program, self.fuel),
-                Engine::Sparc { program, machine } => machine.run(program, self.fuel),
-                Engine::Riscv { program, machine } => machine.run(program, self.fuel),
-            };
-            match exit {
+            match self.engine.run(self.fuel) {
                 Exit::Halt(value) => {
                     return Ok(RunOutcome {
                         value,
@@ -1117,46 +1106,14 @@ impl ExecutionManager {
     ) -> Result<(), EngineError> {
         // advance the virtual clock with execution progress
         self.env.clock = self.exec_stats().cycles;
-        let (stack, location) = match &self.engine {
-            Engine::X86 { machine, .. } => (
-                StackView {
-                    functions: (0..machine.call_depth())
-                        .filter_map(|d| machine.frame_function(d))
-                        .collect(),
-                },
-                machine.current_location(),
-            ),
-            Engine::Sparc { machine, .. } => (
-                StackView {
-                    functions: (0..machine.call_depth())
-                        .filter_map(|d| machine.frame_function(d))
-                        .collect(),
-                },
-                machine.current_location(),
-            ),
-            Engine::Riscv { machine, .. } => (
-                StackView {
-                    functions: (0..machine.call_depth())
-                        .filter_map(|d| machine.frame_function(d))
-                        .collect(),
-                },
-                machine.current_location(),
-            ),
-        };
-        let result = match &mut self.engine {
-            Engine::X86 { machine, .. } => {
-                self.env
-                    .handle(which, args, &mut machine.mem, &stack, &self.func_names)
-            }
-            Engine::Sparc { machine, .. } => {
-                self.env
-                    .handle(which, args, &mut machine.mem, &stack, &self.func_names)
-            }
-            Engine::Riscv { machine, .. } => {
-                self.env
-                    .handle(which, args, &mut machine.mem, &stack, &self.func_names)
-            }
-        };
+        let (functions, location) = self.engine.stack();
+        let result = self.env.handle(
+            which,
+            args,
+            self.engine.mem_mut(),
+            &StackView { functions },
+            &self.func_names,
+        );
         let ret = match result {
             Ok(v) => v,
             Err(kind) => {
@@ -1176,18 +1133,10 @@ impl ExecutionManager {
             if f as usize >= self.module.num_functions() {
                 continue;
             }
-            match &mut self.engine {
-                Engine::X86 { program, .. } => program.invalidate(f),
-                Engine::Sparc { program, .. } => program.invalidate(f),
-                Engine::Riscv { program, .. } => program.invalidate(f),
-            }
+            self.engine.invalidate(f);
             self.stats.invalidations += 1;
         }
-        match &mut self.engine {
-            Engine::X86 { machine, .. } => machine.finish_intrinsic(ret),
-            Engine::Sparc { machine, .. } => machine.finish_intrinsic(ret),
-            Engine::Riscv { machine, .. } => machine.finish_intrinsic(ret),
-        }
+        self.engine.finish_intrinsic(ret);
         Ok(())
     }
 
@@ -1213,27 +1162,11 @@ impl ExecutionManager {
             return;
         }
         // best-effort: run the handler to completion for its effects
-        let entry_ok = match &mut self.engine {
-            Engine::X86 { machine, .. } => {
-                machine.call_entry(handler, &[u64::from(no), 0]).is_ok()
-            }
-            Engine::Sparc { machine, .. } => {
-                machine.call_entry(handler, &[u64::from(no), 0]).is_ok()
-            }
-            Engine::Riscv { machine, .. } => {
-                machine.call_entry(handler, &[u64::from(no), 0]).is_ok()
-            }
-        };
-        if !entry_ok {
+        if self.engine.call_entry(handler, &[u64::from(no), 0]).is_err() {
             return;
         }
         for _ in 0..64 {
-            let exit = match &mut self.engine {
-                Engine::X86 { program, machine } => machine.run(program, 1_000_000),
-                Engine::Sparc { program, machine } => machine.run(program, 1_000_000),
-                Engine::Riscv { program, machine } => machine.run(program, 1_000_000),
-            };
-            match exit {
+            match self.engine.run(1_000_000) {
                 Exit::Halt(_) => break,
                 Exit::NeedFunction(f) => {
                     if self.translate(f).is_err() {

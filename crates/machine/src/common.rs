@@ -1,7 +1,83 @@
-//! Types shared by both simulated hardware processors.
+//! Types shared by the simulated hardware processors.
 
 use llva_core::intrinsics::Intrinsic;
 use std::fmt;
+
+/// Tag bit marking a value as a function "address". Kept below bit 31
+/// so tagged function pointers survive 32-bit pointer stores on the
+/// IA-32-like target (simulated memories stay far below 1 GiB).
+pub const FUNC_TAG: u64 = 1 << 30;
+
+/// Packs a function index into a tagged function address value.
+pub fn function_value(idx: u32) -> u64 {
+    FUNC_TAG | u64::from(idx)
+}
+
+/// Floating-point ALU operations (the same four on every ISA).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FpOp {
+    /// Addition.
+    Add,
+    /// Subtraction.
+    Sub,
+    /// Multiplication.
+    Mul,
+    /// Division.
+    Div,
+}
+
+impl FpOp {
+    /// `a ⊕ b` over float register bits of one precision.
+    pub fn apply(self, a: u64, b: u64, is32: bool) -> u64 {
+        let (a, b) = (float(a, is32), float(b, is32));
+        let r = match self {
+            FpOp::Add => a + b,
+            FpOp::Sub => a - b,
+            FpOp::Mul => a * b,
+            FpOp::Div => a / b,
+        };
+        float_bits(r, is32)
+    }
+}
+
+/// The value a float register holds as f32 (`is32`) or f64 bits.
+pub fn float(bits: u64, is32: bool) -> f64 {
+    if is32 {
+        f64::from(f32::from_bits(bits as u32))
+    } else {
+        f64::from_bits(bits)
+    }
+}
+
+/// The float register bits of `v` rounded to f32 (`is32`) or f64.
+pub fn float_bits(v: f64, is32: bool) -> u64 {
+    if is32 {
+        u64::from((v as f32).to_bits())
+    } else {
+        v.to_bits()
+    }
+}
+
+/// Integer → float conversion.
+pub fn int_to_float(v: u64, signed: bool, to32: bool) -> u64 {
+    let f = if signed { v as i64 as f64 } else { v as f64 };
+    float_bits(f, to32)
+}
+
+/// Float → integer conversion (truncating, saturating).
+pub fn float_to_int(bits: u64, from32: bool, signed: bool) -> u64 {
+    let f = float(bits, from32);
+    if signed {
+        f as i64 as u64
+    } else {
+        f as u64
+    }
+}
+
+/// f64 → f32 (`to32`) or f32 → f64 conversion.
+pub fn float_to_float(bits: u64, to32: bool) -> u64 {
+    float_bits(float(bits, !to32), to32)
+}
 
 /// Width of a memory access, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

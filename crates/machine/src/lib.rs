@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates LLVA by translating to two real hardware ISAs,
 //! Intel IA-32 and SPARC V9. This reproduction has no silicon, so this
-//! crate provides the substitution documented in DESIGN.md §4: two
+//! crate provides the substitution documented in DESIGN.md §4:
 //! cycle-counting functional simulators whose ISAs mirror the relevant
 //! properties of the originals —
 //!
@@ -15,17 +15,21 @@
 //!   immediates (`lui`/`addi` for larger constants), compare-and-branch
 //!   instead of condition codes, little-endian memory.
 //!
-//! Both expose the execution-manager interface the paper's LLEE needs:
-//! a call to untranslated code exits with [`common::Exit::NeedFunction`]
-//! so the JIT can translate on demand, intrinsic calls (§3.5) exit to
-//! the engine, and all traps are precise ([`common::Trap`] names the
-//! exact faulting instruction).
+//! All three run on one [`core::Machine`]; an ISA supplies its
+//! instructions' semantics and calling convention through
+//! [`core::Isa`]. The machine exposes the execution-manager interface
+//! the paper's LLEE needs: a call to untranslated code exits with
+//! [`common::Exit::NeedFunction`] so the JIT can translate on demand,
+//! intrinsic calls (§3.5) exit to the engine, and all traps are precise
+//! ([`common::Trap`] names the exact faulting instruction).
 
 pub mod common;
+pub mod core;
 pub mod memory;
 pub mod riscv;
 pub mod sparc;
 pub mod x86;
 
 pub use common::{ExecStats, Exit, Sym, Trap, TrapKind, Width};
+pub use crate::core::{Isa, Machine, Program};
 pub use memory::{Memory, GLOBAL_BASE};

@@ -19,10 +19,10 @@
 //! every opcode, and return addresses live in a simulator-internal
 //! frame stack (no architectural `ra` linkage).
 
-use crate::common::{Exit, Sym, Trap, TrapKind, Width};
-use crate::memory::Memory;
+pub use crate::common::{function_value, FpOp, FUNC_TAG};
+use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::core::{function_index, Cpu, Flow, Isa, Machine, Program, Regs};
 use llva_core::intrinsics::Intrinsic;
-use std::sync::Arc;
 
 /// An integer register number (0–31; register 0 always reads zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,19 +112,6 @@ pub enum BrCond {
     Ltu,
     /// `bgeu` — unsigned above-or-equal.
     Geu,
-}
-
-/// Floating-point ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FpOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
 }
 
 /// Float comparisons writing 0/1 into an integer register (`feq`,
@@ -324,227 +311,36 @@ pub enum RiscvInst {
     MovFG(FReg, Reg),
 }
 
-impl RiscvInst {
-    /// How many real RV instructions this represents (MovSym = 2).
-    pub fn weight(&self) -> u32 {
-        match self {
-            RiscvInst::MovSym { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    /// Encoded size in bytes (4 per real instruction).
-    pub fn native_size(&self) -> u32 {
-        self.weight() * 4
-    }
-}
-
 /// A translated RISC-V program.
-#[derive(Debug, Clone, Default)]
-pub struct RiscvProgram {
-    functions: Vec<Option<Arc<Vec<RiscvInst>>>>,
-    global_addrs: Vec<u64>,
-}
-
-impl RiscvProgram {
-    /// Creates an empty program.
-    pub fn new(num_functions: usize, global_addrs: Vec<u64>) -> RiscvProgram {
-        RiscvProgram {
-            functions: vec![None; num_functions],
-            global_addrs,
-        }
-    }
-
-    /// Grows the translation table to at least `n` slots (self-
-    /// extending code adds functions after program creation, §3.4).
-    pub fn ensure_slots(&mut self, n: usize) {
-        if self.functions.len() < n {
-            self.functions.resize(n, None);
-        }
-    }
-
-    /// Installs translated code for a function.
-    pub fn install(&mut self, idx: u32, code: Vec<RiscvInst>) {
-        self.functions[idx as usize] = Some(Arc::new(code));
-    }
-
-    /// Removes installed code (SMC invalidation).
-    pub fn invalidate(&mut self, idx: u32) {
-        self.functions[idx as usize] = None;
-    }
-
-    /// Whether function `idx` has installed code.
-    pub fn is_installed(&self, idx: u32) -> bool {
-        self.functions
-            .get(idx as usize)
-            .map(Option::is_some)
-            .unwrap_or(false)
-    }
-
-    /// Installed code for `idx`.
-    pub fn code(&self, idx: u32) -> Option<&Arc<Vec<RiscvInst>>> {
-        self.functions.get(idx as usize).and_then(Option::as_ref)
-    }
-
-    /// Relocated address of global `idx`.
-    pub fn global_addr(&self, idx: u32) -> u64 {
-        self.global_addrs[idx as usize]
-    }
-
-    /// Total native instruction count (weighted, Table 2 style).
-    pub fn total_insts(&self) -> usize {
-        self.functions
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter())
-            .map(|i| i.weight() as usize)
-            .sum()
-    }
-
-    /// Total native code bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.total_insts() * 4
-    }
-}
-
-/// Tagged function value helper (same scheme as the x86 machine).
-pub use crate::x86::{function_value, FUNC_TAG};
-
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    func: u32,
-    ret_pc: u32,
-    saved_sp: u64,
-    unwind: Option<u32>,
-    // The caller's register file at the call site — what a real
-    // unwinder reconstructs from unwind tables. Restored when an
-    // `unwind` lands at this call's landing pad, so the frame pointer
-    // and values homed in `s`-registers survive the non-local exit.
-    saved_regs: [u64; 32],
-    saved_fregs: [u64; 16],
-}
+pub type RiscvProgram = Program<RiscvInst>;
 
 /// The simulated RV64-like processor.
-#[derive(Debug)]
-pub struct RiscvMachine {
-    /// The processor's memory.
-    pub mem: Memory,
-    regs: [u64; 32],
-    fregs: [u64; 16],
-    frames: Vec<Frame>,
-    cur_func: u32,
-    pc: u32,
-    stats: crate::common::ExecStats,
-    pending_intrinsic: bool,
+pub type RiscvMachine = Machine<RiscvInst>;
+
+/// Writes `r` unless it is `x0`. Since `x0` is never written, reads
+/// index the register file directly.
+fn set(regs: &mut Regs, r: Reg, v: u64) {
+    if r.0 != 0 {
+        regs.gpr[r.0 as usize] = v;
+    }
 }
 
-impl RiscvMachine {
-    /// Creates a machine over `mem`.
-    pub fn new(mem: Memory) -> RiscvMachine {
-        let sp = mem.initial_sp();
-        let mut m = RiscvMachine {
-            mem,
-            regs: [0; 32],
-            fregs: [0; 16],
-            frames: Vec::new(),
-            cur_func: 0,
-            pc: 0,
-            stats: crate::common::ExecStats::default(),
-            pending_intrinsic: false,
-        };
-        m.regs[SP.0 as usize] = sp;
-        m
+fn operand(regs: &Regs, roi: RegOrImm) -> u64 {
+    match roi {
+        RegOrImm::Reg(r) => regs.gpr[r.0 as usize],
+        RegOrImm::Imm(v) => v as i64 as u64,
     }
+}
 
-    /// Execution statistics.
-    pub fn stats(&self) -> crate::common::ExecStats {
-        self.stats
-    }
+/// `base + off`, the only addressing mode.
+fn addr(regs: &Regs, base: Reg, off: i16) -> u64 {
+    regs.gpr[base.0 as usize].wrapping_add(off as i64 as u64)
+}
 
-    /// Reads a register (`x0` reads zero).
-    pub fn reg(&self, r: Reg) -> u64 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.regs[r.0 as usize]
-        }
-    }
-
-    /// Writes a register (writes to `x0` are discarded).
-    pub fn set_reg(&mut self, r: Reg, v: u64) {
-        if r.0 != 0 {
-            self.regs[r.0 as usize] = v;
-        }
-    }
-
-    /// Reads a float register's raw bits.
-    pub fn freg(&self, r: FReg) -> u64 {
-        self.fregs[r.0 as usize]
-    }
-
-    /// Positions the machine at the entry of `func` with register
-    /// arguments in `a0`–`a7` (extras on the stack).
-    pub fn call_entry(&mut self, func: u32, args: &[u64]) -> Result<(), Trap> {
-        for (i, &a) in args.iter().take(8).enumerate() {
-            self.set_reg(Reg(10 + i as u8), a);
-        }
-        if args.len() > 8 {
-            let extra = &args[8..];
-            let mut sp = self.reg(SP);
-            sp -= (extra.len() as u64) * 8;
-            for (i, &a) in extra.iter().enumerate() {
-                self.mem
-                    .store(sp + 8 * i as u64, a, Width::B8)
-                    .map_err(|k| Trap {
-                        kind: k,
-                        function: func,
-                        pc: 0,
-                    })?;
-            }
-            self.set_reg(SP, sp);
-        }
-        self.cur_func = func;
-        self.pc = 0;
-        self.frames.clear();
-        Ok(())
-    }
-
-    /// The (function, pc) the machine is currently positioned at.
-    pub fn current_location(&self) -> (u32, u32) {
-        (self.cur_func, self.pc)
-    }
-
-    /// Current call depth.
-    pub fn call_depth(&self) -> usize {
-        self.frames.len() + 1
-    }
-
-    /// Function executing at `depth` (0 = innermost).
-    pub fn frame_function(&self, depth: usize) -> Option<u32> {
-        if depth == 0 {
-            return Some(self.cur_func);
-        }
-        self.frames.iter().rev().nth(depth - 1).map(|f| f.func)
-    }
-
-    fn trap_here(&self, kind: TrapKind) -> Trap {
-        Trap {
-            kind,
-            function: self.cur_func,
-            pc: self.pc,
-        }
-    }
-
-    fn operand(&self, roi: RegOrImm) -> u64 {
-        match roi {
-            RegOrImm::Reg(r) => self.reg(r),
-            RegOrImm::Imm(v) => v as i64 as u64,
-        }
-    }
-
-    fn br_cond(&self, c: BrCond, rs1: Reg, rs2: Reg) -> bool {
-        let (a, b) = (self.reg(rs1), self.reg(rs2));
-        match c {
+impl BrCond {
+    /// Whether the branch is taken for operands `a` and `b`.
+    pub fn holds(self, a: u64, b: u64) -> bool {
+        match self {
             BrCond::Eq => a == b,
             BrCond::Ne => a != b,
             BrCond::Lt => (a as i64) < (b as i64),
@@ -553,63 +349,41 @@ impl RiscvMachine {
             BrCond::Geu => a >= b,
         }
     }
+}
 
-    /// Completes a pending intrinsic call; result goes to `a0`.
-    pub fn finish_intrinsic(&mut self, ret: u64) {
-        debug_assert!(self.pending_intrinsic);
-        self.set_reg(A0, ret);
-        self.pending_intrinsic = false;
-        self.pc += 1;
-    }
+impl Isa for RiscvInst {
+    const SP: usize = SP.0 as usize;
+    const RESULT: usize = A0.0 as usize;
 
-    /// Runs until an [`Exit`], executing at most `fuel` instructions.
-    pub fn run(&mut self, program: &RiscvProgram, fuel: u64) -> Exit {
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return Exit::OutOfFuel;
-            }
-            remaining -= 1;
-            let Some(code) = program.code(self.cur_func) else {
-                return Exit::NeedFunction(self.cur_func);
-            };
-            let code = Arc::clone(code);
-            let Some(inst) = code.get(self.pc as usize) else {
-                match self.do_ret() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            };
-            self.stats.instructions += u64::from(inst.weight());
-            match self.step(inst, program) {
-                Ok(None) => {}
-                Ok(Some(exit)) => return exit,
-                Err(kind) => return Exit::Trapped(self.trap_here(kind)),
-            }
+    /// `MovSym` is the `auipc`+`addi` pair and counts as two.
+    fn weight(&self) -> u32 {
+        match self {
+            RiscvInst::MovSym { .. } => 2,
+            _ => 1,
         }
     }
 
-    fn do_ret(&mut self) -> Option<Exit> {
-        match self.frames.pop() {
-            None => Some(Exit::Halt(self.reg(A0))),
-            Some(f) => {
-                self.cur_func = f.func;
-                self.pc = f.ret_pc;
-                None
-            }
-        }
+    /// 4 bytes per real instruction.
+    fn native_size(&self) -> u32 {
+        self.weight() * 4
+    }
+
+    /// Arguments in `a0`–`a7`, extras on the stack.
+    fn enter(cpu: &mut Cpu, args: &[u64]) -> Result<(), TrapKind> {
+        cpu.pass_in_registers(A0.0 as usize, 8, Self::SP, args)
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, inst: &RiscvInst, program: &RiscvProgram) -> Result<Option<Exit>, TrapKind> {
+    #[inline]
+    fn exec(&self, cpu: &mut Cpu, program: &Program<RiscvInst>) -> Result<Flow, TrapKind> {
         use RiscvInst as I;
-        let mut next_pc = self.pc + 1;
-        let mut cycles = 1u64;
-        match inst {
-            I::Lui { imm20, rd } => {
-                // lui sign-extends bit 31 on RV64
-                self.set_reg(*rd, ((*imm20 << 12) as i32) as i64 as u64);
-            }
+        let Cpu {
+            regs, mem, stats, ..
+        } = cpu;
+        let mut cycles = 1;
+        match self {
+            // lui sign-extends bit 31 on RV64
+            I::Lui { imm20, rd } => set(regs, *rd, ((*imm20 << 12) as i32) as i64 as u64),
             I::Alu {
                 op,
                 rs1,
@@ -617,8 +391,7 @@ impl RiscvMachine {
                 rd,
                 trapping,
             } => {
-                let a = self.reg(*rs1);
-                let b = self.operand(*rhs);
+                let (a, b) = (regs.gpr[rs1.0 as usize], operand(regs, *rhs));
                 let v = match op {
                     AluOp::Add => a.wrapping_add(b),
                     AluOp::Sub => a.wrapping_sub(b),
@@ -638,8 +411,7 @@ impl RiscvMachine {
                                 AluOp::Sdiv => (a as i64).wrapping_div(b as i64) as u64,
                                 AluOp::Udiv => a / b,
                                 AluOp::Srem => (a as i64).wrapping_rem(b as i64) as u64,
-                                AluOp::Urem => a % b,
-                                _ => unreachable!(),
+                                _ => a % b,
                             }
                         }
                     }
@@ -652,7 +424,7 @@ impl RiscvMachine {
                     AluOp::Slt => u64::from((a as i64) < (b as i64)),
                     AluOp::Sltu => u64::from(a < b),
                 };
-                self.set_reg(*rd, v);
+                set(regs, *rd, v);
             }
             I::Ld {
                 rd,
@@ -661,14 +433,14 @@ impl RiscvMachine {
                 width,
                 signed,
             } => {
-                let a = self.reg(*rs1).wrapping_add(*off as i64 as u64);
+                let a = addr(regs, *rs1, *off);
                 let v = if *signed {
-                    self.mem.load_signed(a, *width)?
+                    mem.load_signed(a, *width)?
                 } else {
-                    self.mem.load(a, *width)?
+                    mem.load(a, *width)?
                 };
-                self.set_reg(*rd, v);
-                self.stats.loads += 1;
+                set(regs, *rd, v);
+                stats.loads += 1;
                 cycles = 2;
             }
             I::St {
@@ -677,31 +449,25 @@ impl RiscvMachine {
                 off,
                 width,
             } => {
-                let a = self.reg(*rs1).wrapping_add(*off as i64 as u64);
-                self.mem.store(a, self.reg(*rs), *width)?;
-                self.stats.stores += 1;
+                mem.store(addr(regs, *rs1, *off), regs.gpr[rs.0 as usize], *width)?;
+                stats.stores += 1;
                 cycles = 2;
             }
             I::LdF { fd, rs1, off, is32 } => {
-                let a = self.reg(*rs1).wrapping_add(*off as i64 as u64);
-                let v = if *is32 {
-                    self.mem.load(a, Width::B4)?
-                } else {
-                    self.mem.load(a, Width::B8)?
-                };
-                self.fregs[fd.0 as usize] = v;
-                self.stats.loads += 1;
+                let width = if *is32 { Width::B4 } else { Width::B8 };
+                regs.fpr[fd.0 as usize] = mem.load(addr(regs, *rs1, *off), width)?;
+                stats.loads += 1;
                 cycles = 2;
             }
             I::StF { fs, rs1, off, is32 } => {
-                let a = self.reg(*rs1).wrapping_add(*off as i64 as u64);
-                let v = self.fregs[fs.0 as usize];
+                let a = addr(regs, *rs1, *off);
+                let v = regs.fpr[fs.0 as usize];
                 if *is32 {
-                    self.mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
+                    mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
                 } else {
-                    self.mem.store(a, v, Width::B8)?;
+                    mem.store(a, v, Width::B8)?;
                 }
-                self.stats.stores += 1;
+                stats.stores += 1;
                 cycles = 2;
             }
             I::Br {
@@ -710,96 +476,43 @@ impl RiscvMachine {
                 rs2,
                 target,
             } => {
-                if self.br_cond(*cond, *rs1, *rs2) {
-                    next_pc = *target;
-                    self.stats.taken_branches += 1;
+                if cond.holds(regs.gpr[rs1.0 as usize], regs.gpr[rs2.0 as usize]) {
+                    return Ok(Flow::Jump(*target));
                 }
             }
-            I::J { target } => {
-                next_pc = *target;
-                self.stats.taken_branches += 1;
-            }
+            I::J { target } => return Ok(Flow::Jump(*target)),
             I::Call { func, unwind } => {
-                self.stats.calls += 1;
-                cycles = 2;
-                if !program.is_installed(*func) {
-                    return Ok(Some(Exit::NeedFunction(*func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.reg(SP),
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func: *func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 2,
                 });
-                self.cur_func = *func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIndirect { rs, unwind } => {
-                let v = self.reg(*rs);
-                if v & FUNC_TAG == 0 {
-                    return Err(TrapKind::BadFunctionPointer);
-                }
-                let func = (v & !FUNC_TAG) as u32;
-                self.stats.calls += 1;
-                cycles = 3;
-                if !program.is_installed(func) {
-                    return Ok(Some(Exit::NeedFunction(func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.reg(SP),
+                let func = function_index(regs.gpr[rs.0 as usize])?;
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 3,
                 });
-                self.cur_func = func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIntrinsic { which, nargs } => {
-                self.stats.calls += 1;
-                let args: Vec<u64> = (0..*nargs).map(|i| self.reg(Reg(10 + i))).collect();
-                self.pending_intrinsic = true;
-                return Ok(Some(Exit::Intrinsic {
+                stats.calls += 1;
+                let first = A0.0 as usize;
+                return Ok(Flow::Intrinsic {
                     which: *which,
-                    args,
-                }));
+                    args: regs.gpr[first..first + usize::from(*nargs)].to_vec(),
+                });
             }
-            I::Ret => {
-                self.stats.cycles += 2;
-                return Ok(self.do_ret());
-            }
-            I::Unwind => loop {
-                match self.frames.pop() {
-                    None => return Err(TrapKind::UnhandledUnwind),
-                    Some(f) => {
-                        if let Some(pad) = f.unwind {
-                            self.cur_func = f.func;
-                            self.pc = pad;
-                            self.regs = f.saved_regs;
-                            self.fregs = f.saved_fregs;
-                            self.set_reg(SP, f.saved_sp);
-                            self.stats.cycles += 2;
-                            return Ok(None);
-                        }
-                    }
-                }
-            },
+            I::Ret => return Ok(Flow::Ret),
+            I::Unwind => return Ok(Flow::Unwind),
             I::MovSym { rd, sym } => {
-                let v = match sym {
-                    Sym::Global(g) => program.global_addr(*g),
-                    Sym::Function(f) => function_value(*f),
-                };
-                self.set_reg(*rd, v);
+                set(regs, *rd, program.resolve(*sym));
                 cycles = 2; // auipc + addi
             }
-            I::FMov(d, s) => self.fregs[d.0 as usize] = self.fregs[s.0 as usize],
+            I::FMov(d, s) => regs.fpr[d.0 as usize] = regs.fpr[s.0 as usize],
             I::FAlu {
                 op,
                 fs1,
@@ -807,15 +520,8 @@ impl RiscvMachine {
                 fd,
                 is32,
             } => {
-                let a = fbits(self.fregs[fs1.0 as usize], *is32);
-                let b = fbits(self.fregs[fs2.0 as usize], *is32);
-                let r = match op {
-                    FpOp::Add => a + b,
-                    FpOp::Sub => a - b,
-                    FpOp::Mul => a * b,
-                    FpOp::Div => a / b,
-                };
-                self.fregs[fd.0 as usize] = to_fbits(r, *is32);
+                let (a, b) = (regs.fpr[fs1.0 as usize], regs.fpr[fs2.0 as usize]);
+                regs.fpr[fd.0 as usize] = op.apply(a, b, *is32);
                 cycles = 3;
             }
             I::FSet {
@@ -825,15 +531,15 @@ impl RiscvMachine {
                 fs2,
                 is32,
             } => {
-                let a = fbits(self.fregs[fs1.0 as usize], *is32);
-                let b = fbits(self.fregs[fs2.0 as usize], *is32);
+                let a = float(regs.fpr[fs1.0 as usize], *is32);
+                let b = float(regs.fpr[fs2.0 as usize], *is32);
                 // all comparisons are false on unordered operands
                 let v = match op {
                     FSetOp::Feq => a == b,
                     FSetOp::Flt => a < b,
                     FSetOp::Fle => a <= b,
                 };
-                self.set_reg(*rd, u64::from(v));
+                set(regs, *rd, u64::from(v));
                 cycles = 2;
             }
             I::CvtIF {
@@ -842,9 +548,7 @@ impl RiscvMachine {
                 to32,
                 signed,
             } => {
-                let v = self.reg(*rs);
-                let f = if *signed { v as i64 as f64 } else { v as f64 };
-                self.fregs[fd.0 as usize] = to_fbits(f, *to32);
+                regs.fpr[fd.0 as usize] = int_to_float(regs.gpr[rs.0 as usize], *signed, *to32);
                 cycles = 3;
             }
             I::CvtFI {
@@ -853,44 +557,29 @@ impl RiscvMachine {
                 from32,
                 signed,
             } => {
-                let f = fbits(self.fregs[fs.0 as usize], *from32);
-                let v = if *signed { (f as i64) as u64 } else { f as u64 };
-                self.set_reg(*rd, v);
+                let v = float_to_int(regs.fpr[fs.0 as usize], *from32, *signed);
+                set(regs, *rd, v);
                 cycles = 3;
             }
             I::CvtFF { fd, fs, to32 } => {
-                let f = fbits(self.fregs[fs.0 as usize], !*to32);
-                self.fregs[fd.0 as usize] = to_fbits(f, *to32);
+                regs.fpr[fd.0 as usize] = float_to_float(regs.fpr[fs.0 as usize], *to32);
                 cycles = 2;
             }
-            I::MovGF(rd, fs) => self.set_reg(*rd, self.fregs[fs.0 as usize]),
-            I::MovFG(fd, rs) => self.fregs[fd.0 as usize] = self.reg(*rs),
+            I::MovGF(rd, fs) => {
+                let v = regs.fpr[fs.0 as usize];
+                set(regs, *rd, v);
+            }
+            I::MovFG(fd, rs) => regs.fpr[fd.0 as usize] = regs.gpr[rs.0 as usize],
         }
-        self.pc = next_pc;
-        self.stats.cycles += cycles;
-        Ok(None)
-    }
-}
-
-fn fbits(bits: u64, is32: bool) -> f64 {
-    if is32 {
-        f32::from_bits(bits as u32) as f64
-    } else {
-        f64::from_bits(bits)
-    }
-}
-
-fn to_fbits(v: f64, is32: bool) -> u64 {
-    if is32 {
-        (v as f32).to_bits() as u64
-    } else {
-        v.to_bits()
+        Ok(Flow::Next(cycles))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Exit;
+    use crate::memory::Memory;
     use llva_core::layout::Endianness;
 
     fn machine() -> RiscvMachine {
@@ -899,9 +588,19 @@ mod tests {
 
     #[test]
     fn x0_is_always_zero() {
+        use RiscvInst as I;
+        let mut p = RiscvProgram::new(1, vec![]);
+        let addi = |rs1, imm, rd| I::Alu {
+            op: AluOp::Add,
+            rs1,
+            rhs: RegOrImm::Imm(imm),
+            rd,
+            trapping: false,
+        };
+        p.install(0, vec![addi(X0, 42, X0), addi(X0, 0, A0), I::Ret]);
         let mut m = machine();
-        m.set_reg(X0, 42);
-        assert_eq!(m.reg(X0), 0);
+        m.call_entry(0, &[]).unwrap();
+        assert_eq!(m.run(&p, 100), Exit::Halt(0));
     }
 
     #[test]

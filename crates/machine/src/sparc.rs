@@ -9,10 +9,10 @@
 //! uses an explicit callee-save discipline instead), no branch delay
 //! slots, and return addresses live in a simulator-internal frame stack.
 
-use crate::common::{Exit, Sym, Trap, TrapKind, Width};
-use crate::memory::Memory;
+pub use crate::common::{function_value, FpOp, FUNC_TAG};
+use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
 use llva_core::intrinsics::Intrinsic;
-use std::sync::Arc;
 
 /// An integer register number (0–31; register 0 always reads zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,17 +107,23 @@ pub enum Cond {
     Geu,
 }
 
-/// Floating-point ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FpOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
+impl Cond {
+    /// Whether the condition holds for the last compare.
+    pub fn holds(self, flags: Flags) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let order = match self {
+            Cond::L | Cond::G | Cond::Le | Cond::Ge => flags.signed,
+            _ => flags.unsigned,
+        };
+        match self {
+            Cond::E => order == Some(Equal),
+            Cond::Ne => order != Some(Equal),
+            Cond::L | Cond::Lu => order == Some(Less),
+            Cond::G | Cond::Gu => order == Some(Greater),
+            Cond::Le | Cond::Leu => matches!(order, Some(Less | Equal)),
+            Cond::Ge | Cond::Geu => matches!(order, Some(Greater | Equal)),
+        }
+    }
 }
 
 /// One SPARC-like instruction (4 bytes each; `MovSym` is the
@@ -304,324 +310,62 @@ pub enum SparcInst {
     MovFG(FReg, Reg),
 }
 
-impl SparcInst {
-    /// How many real SPARC instructions this represents (MovSym = 2).
-    pub fn weight(&self) -> u32 {
+/// A translated SPARC-like program.
+pub type SparcProgram = Program<SparcInst>;
+
+/// The simulated SPARC-like processor.
+pub type SparcMachine = Machine<SparcInst>;
+
+/// Writes `r` unless it is `%g0`. Since `%g0` is never written, reads
+/// index the register file directly.
+fn set(regs: &mut Regs, r: Reg, v: u64) {
+    if r.0 != 0 {
+        regs.gpr[r.0 as usize] = v;
+    }
+}
+
+fn operand(regs: &Regs, roi: RegOrImm) -> u64 {
+    match roi {
+        RegOrImm::Reg(r) => regs.gpr[r.0 as usize],
+        RegOrImm::Imm(v) => v as i64 as u64,
+    }
+}
+
+impl Isa for SparcInst {
+    const SP: usize = SP.0 as usize;
+    const RESULT: usize = O0.0 as usize;
+
+    /// `MovSym` is the `sethi`+`or` pair and counts as two.
+    fn weight(&self) -> u32 {
         match self {
             SparcInst::MovSym { .. } => 2,
             _ => 1,
         }
     }
 
-    /// Encoded size in bytes (4 per real instruction).
-    pub fn native_size(&self) -> u32 {
+    /// 4 bytes per real instruction.
+    fn native_size(&self) -> u32 {
         self.weight() * 4
     }
-}
 
-/// A translated SPARC program.
-#[derive(Debug, Clone, Default)]
-pub struct SparcProgram {
-    functions: Vec<Option<Arc<Vec<SparcInst>>>>,
-    global_addrs: Vec<u64>,
-}
-
-impl SparcProgram {
-    /// Creates an empty program.
-    pub fn new(num_functions: usize, global_addrs: Vec<u64>) -> SparcProgram {
-        SparcProgram {
-            functions: vec![None; num_functions],
-            global_addrs,
-        }
-    }
-
-    /// Grows the translation table to at least `n` slots (self-
-    /// extending code adds functions after program creation, §3.4).
-    pub fn ensure_slots(&mut self, n: usize) {
-        if self.functions.len() < n {
-            self.functions.resize(n, None);
-        }
-    }
-
-    /// Installs translated code for a function.
-    pub fn install(&mut self, idx: u32, code: Vec<SparcInst>) {
-        self.functions[idx as usize] = Some(Arc::new(code));
-    }
-
-    /// Removes installed code (SMC invalidation).
-    pub fn invalidate(&mut self, idx: u32) {
-        self.functions[idx as usize] = None;
-    }
-
-    /// Whether function `idx` has installed code.
-    pub fn is_installed(&self, idx: u32) -> bool {
-        self.functions
-            .get(idx as usize)
-            .map(Option::is_some)
-            .unwrap_or(false)
-    }
-
-    /// Installed code for `idx`.
-    pub fn code(&self, idx: u32) -> Option<&Arc<Vec<SparcInst>>> {
-        self.functions.get(idx as usize).and_then(Option::as_ref)
-    }
-
-    /// Relocated address of global `idx`.
-    pub fn global_addr(&self, idx: u32) -> u64 {
-        self.global_addrs[idx as usize]
-    }
-
-    /// Total native instruction count (weighted; the "#SPARC Inst."
-    /// column of Table 2).
-    pub fn total_insts(&self) -> usize {
-        self.functions
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter())
-            .map(|i| i.weight() as usize)
-            .sum()
-    }
-
-    /// Total native code bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.total_insts() * 4
-    }
-}
-
-/// Tagged function value helper (same scheme as the x86 machine).
-pub use crate::x86::{function_value, FUNC_TAG};
-
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    func: u32,
-    ret_pc: u32,
-    saved_sp: u64,
-    unwind: Option<u32>,
-    // The caller's register file at the call site — what a real
-    // unwinder reconstructs from unwind tables. Restored when an
-    // `unwind` lands at this call's landing pad, so values the back
-    // end homed in callee-saved registers (and the frame pointer)
-    // survive the non-local exit.
-    saved_regs: [u64; 32],
-    saved_fregs: [u64; 16],
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Flags {
-    lhs: u64,
-    rhs: u64,
-    float: bool,
-    unordered: bool,
-    flhs: f64,
-    frhs: f64,
-}
-
-/// The simulated SPARC-like processor.
-#[derive(Debug)]
-pub struct SparcMachine {
-    /// The processor's memory.
-    pub mem: Memory,
-    regs: [u64; 32],
-    fregs: [u64; 16],
-    flags: Flags,
-    frames: Vec<Frame>,
-    cur_func: u32,
-    pc: u32,
-    stats: crate::common::ExecStats,
-    pending_intrinsic: bool,
-}
-
-impl SparcMachine {
-    /// Creates a machine over `mem`.
-    pub fn new(mem: Memory) -> SparcMachine {
-        let sp = mem.initial_sp();
-        let mut m = SparcMachine {
-            mem,
-            regs: [0; 32],
-            fregs: [0; 16],
-            flags: Flags::default(),
-            frames: Vec::new(),
-            cur_func: 0,
-            pc: 0,
-            stats: crate::common::ExecStats::default(),
-            pending_intrinsic: false,
-        };
-        m.regs[SP.0 as usize] = sp;
-        m
-    }
-
-    /// Execution statistics.
-    pub fn stats(&self) -> crate::common::ExecStats {
-        self.stats
-    }
-
-    /// Reads a register (`%g0` reads zero).
-    pub fn reg(&self, r: Reg) -> u64 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.regs[r.0 as usize]
-        }
-    }
-
-    /// Writes a register (writes to `%g0` are discarded).
-    pub fn set_reg(&mut self, r: Reg, v: u64) {
-        if r.0 != 0 {
-            self.regs[r.0 as usize] = v;
-        }
-    }
-
-    /// Reads a float register's raw bits.
-    pub fn freg(&self, r: FReg) -> u64 {
-        self.fregs[r.0 as usize]
-    }
-
-    /// Positions the machine at the entry of `func` with register
-    /// arguments in `%o0`–`%o5` (extras on the stack).
-    pub fn call_entry(&mut self, func: u32, args: &[u64]) -> Result<(), Trap> {
-        for (i, &a) in args.iter().take(6).enumerate() {
-            self.set_reg(Reg(8 + i as u8), a);
-        }
-        if args.len() > 6 {
-            let extra = &args[6..];
-            let mut sp = self.reg(SP);
-            sp -= (extra.len() as u64) * 8;
-            for (i, &a) in extra.iter().enumerate() {
-                self.mem
-                    .store(sp + 8 * i as u64, a, Width::B8)
-                    .map_err(|k| Trap {
-                        kind: k,
-                        function: func,
-                        pc: 0,
-                    })?;
-            }
-            self.set_reg(SP, sp);
-        }
-        self.cur_func = func;
-        self.pc = 0;
-        self.frames.clear();
-        Ok(())
-    }
-
-    /// The (function, pc) the machine is currently positioned at.
-    pub fn current_location(&self) -> (u32, u32) {
-        (self.cur_func, self.pc)
-    }
-
-    /// Current call depth.
-    pub fn call_depth(&self) -> usize {
-        self.frames.len() + 1
-    }
-
-    /// Function executing at `depth` (0 = innermost).
-    pub fn frame_function(&self, depth: usize) -> Option<u32> {
-        if depth == 0 {
-            return Some(self.cur_func);
-        }
-        self.frames.iter().rev().nth(depth - 1).map(|f| f.func)
-    }
-
-    fn trap_here(&self, kind: TrapKind) -> Trap {
-        Trap {
-            kind,
-            function: self.cur_func,
-            pc: self.pc,
-        }
-    }
-
-    fn operand(&self, roi: RegOrImm) -> u64 {
-        match roi {
-            RegOrImm::Reg(r) => self.reg(r),
-            RegOrImm::Imm(v) => v as i64 as u64,
-        }
-    }
-
-    fn cond(&self, c: Cond) -> bool {
-        if self.flags.float {
-            let (a, b) = (self.flags.flhs, self.flags.frhs);
-            if self.flags.unordered {
-                return matches!(c, Cond::Ne);
-            }
-            return match c {
-                Cond::E => a == b,
-                Cond::Ne => a != b,
-                Cond::L | Cond::Lu => a < b,
-                Cond::G | Cond::Gu => a > b,
-                Cond::Le | Cond::Leu => a <= b,
-                Cond::Ge | Cond::Geu => a >= b,
-            };
-        }
-        let (a, b) = (self.flags.lhs, self.flags.rhs);
-        let (sa, sb) = (a as i64, b as i64);
-        match c {
-            Cond::E => a == b,
-            Cond::Ne => a != b,
-            Cond::L => sa < sb,
-            Cond::G => sa > sb,
-            Cond::Le => sa <= sb,
-            Cond::Ge => sa >= sb,
-            Cond::Lu => a < b,
-            Cond::Gu => a > b,
-            Cond::Leu => a <= b,
-            Cond::Geu => a >= b,
-        }
-    }
-
-    /// Completes a pending intrinsic call; result goes to `%o0`.
-    pub fn finish_intrinsic(&mut self, ret: u64) {
-        debug_assert!(self.pending_intrinsic);
-        self.set_reg(O0, ret);
-        self.pending_intrinsic = false;
-        self.pc += 1;
-    }
-
-    /// Runs until an [`Exit`], executing at most `fuel` instructions.
-    pub fn run(&mut self, program: &SparcProgram, fuel: u64) -> Exit {
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return Exit::OutOfFuel;
-            }
-            remaining -= 1;
-            let Some(code) = program.code(self.cur_func) else {
-                return Exit::NeedFunction(self.cur_func);
-            };
-            let code = Arc::clone(code);
-            let Some(inst) = code.get(self.pc as usize) else {
-                match self.do_ret() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            };
-            self.stats.instructions += u64::from(inst.weight());
-            match self.step(inst, program) {
-                Ok(None) => {}
-                Ok(Some(exit)) => return exit,
-                Err(kind) => return Exit::Trapped(self.trap_here(kind)),
-            }
-        }
-    }
-
-    fn do_ret(&mut self) -> Option<Exit> {
-        match self.frames.pop() {
-            None => Some(Exit::Halt(self.reg(O0))),
-            Some(f) => {
-                self.cur_func = f.func;
-                self.pc = f.ret_pc;
-                None
-            }
-        }
+    /// Arguments in `%o0`–`%o5`, extras on the stack.
+    fn enter(cpu: &mut Cpu, args: &[u64]) -> Result<(), TrapKind> {
+        cpu.pass_in_registers(O0.0 as usize, 6, Self::SP, args)
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, inst: &SparcInst, program: &SparcProgram) -> Result<Option<Exit>, TrapKind> {
+    #[inline]
+    fn exec(&self, cpu: &mut Cpu, program: &Program<SparcInst>) -> Result<Flow, TrapKind> {
         use SparcInst as I;
-        let mut next_pc = self.pc + 1;
-        let mut cycles = 1u64;
-        match inst {
-            I::Sethi { imm22, rd } => {
-                self.set_reg(*rd, u64::from(*imm22) << 10);
-            }
+        let Cpu {
+            regs,
+            flags,
+            mem,
+            stats,
+        } = cpu;
+        let mut cycles = 1;
+        match self {
+            I::Sethi { imm22, rd } => set(regs, *rd, u64::from(*imm22) << 10),
             I::Alu {
                 op,
                 rs1,
@@ -629,8 +373,7 @@ impl SparcMachine {
                 rd,
                 trapping,
             } => {
-                let a = self.reg(*rs1);
-                let b = self.operand(*rhs);
+                let (a, b) = (regs.gpr[rs1.0 as usize], operand(regs, *rhs));
                 let v = match op {
                     AluOp::Add => a.wrapping_add(b),
                     AluOp::Sub => a.wrapping_sub(b),
@@ -650,8 +393,7 @@ impl SparcMachine {
                                 AluOp::Sdiv => (a as i64).wrapping_div(b as i64) as u64,
                                 AluOp::Udiv => a / b,
                                 AluOp::Srem => (a as i64).wrapping_rem(b as i64) as u64,
-                                AluOp::Urem => a % b,
-                                _ => unreachable!(),
+                                _ => a % b,
                             }
                         }
                     }
@@ -662,15 +404,9 @@ impl SparcMachine {
                     AluOp::Srl => a.wrapping_shr((b & 63) as u32),
                     AluOp::Sra => ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
                 };
-                self.set_reg(*rd, v);
+                set(regs, *rd, v);
             }
-            I::Cmp { rs1, rhs } => {
-                self.flags = Flags {
-                    lhs: self.reg(*rs1),
-                    rhs: self.operand(*rhs),
-                    ..Flags::default()
-                };
-            }
+            I::Cmp { rs1, rhs } => *flags = Flags::int(regs.gpr[rs1.0 as usize], operand(regs, *rhs)),
             I::Ld {
                 rd,
                 rs1,
@@ -678,14 +414,14 @@ impl SparcMachine {
                 width,
                 signed,
             } => {
-                let a = self.reg(*rs1).wrapping_add(self.operand(*off));
+                let a = regs.gpr[rs1.0 as usize].wrapping_add(operand(regs, *off));
                 let v = if *signed {
-                    self.mem.load_signed(a, *width)?
+                    mem.load_signed(a, *width)?
                 } else {
-                    self.mem.load(a, *width)?
+                    mem.load(a, *width)?
                 };
-                self.set_reg(*rd, v);
-                self.stats.loads += 1;
+                set(regs, *rd, v);
+                stats.loads += 1;
                 cycles = 2;
             }
             I::St {
@@ -694,124 +430,67 @@ impl SparcMachine {
                 off,
                 width,
             } => {
-                let a = self.reg(*rs1).wrapping_add(self.operand(*off));
-                self.mem.store(a, self.reg(*rs), *width)?;
-                self.stats.stores += 1;
+                let a = regs.gpr[rs1.0 as usize].wrapping_add(operand(regs, *off));
+                mem.store(a, regs.gpr[rs.0 as usize], *width)?;
+                stats.stores += 1;
                 cycles = 2;
             }
             I::LdF { fd, rs1, off, is32 } => {
-                let a = self.reg(*rs1).wrapping_add(self.operand(*off));
-                let v = if *is32 {
-                    self.mem.load(a, Width::B4)?
-                } else {
-                    self.mem.load(a, Width::B8)?
-                };
-                self.fregs[fd.0 as usize] = v;
-                self.stats.loads += 1;
+                let a = regs.gpr[rs1.0 as usize].wrapping_add(operand(regs, *off));
+                let width = if *is32 { Width::B4 } else { Width::B8 };
+                regs.fpr[fd.0 as usize] = mem.load(a, width)?;
+                stats.loads += 1;
                 cycles = 2;
             }
             I::StF { fs, rs1, off, is32 } => {
-                let a = self.reg(*rs1).wrapping_add(self.operand(*off));
-                let v = self.fregs[fs.0 as usize];
+                let a = regs.gpr[rs1.0 as usize].wrapping_add(operand(regs, *off));
+                let v = regs.fpr[fs.0 as usize];
                 if *is32 {
-                    self.mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
+                    mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
                 } else {
-                    self.mem.store(a, v, Width::B8)?;
+                    mem.store(a, v, Width::B8)?;
                 }
-                self.stats.stores += 1;
+                stats.stores += 1;
                 cycles = 2;
             }
             I::Br { cond, target } => {
-                if self.cond(*cond) {
-                    next_pc = *target;
-                    self.stats.taken_branches += 1;
+                if cond.holds(*flags) {
+                    return Ok(Flow::Jump(*target));
                 }
             }
-            I::Ba { target } => {
-                next_pc = *target;
-                self.stats.taken_branches += 1;
-            }
+            I::Ba { target } => return Ok(Flow::Jump(*target)),
             I::Call { func, unwind } => {
-                self.stats.calls += 1;
-                cycles = 2;
-                if !program.is_installed(*func) {
-                    return Ok(Some(Exit::NeedFunction(*func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.reg(SP),
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func: *func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 2,
                 });
-                self.cur_func = *func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIndirect { rs, unwind } => {
-                let v = self.reg(*rs);
-                if v & FUNC_TAG == 0 {
-                    return Err(TrapKind::BadFunctionPointer);
-                }
-                let func = (v & !FUNC_TAG) as u32;
-                self.stats.calls += 1;
-                cycles = 3;
-                if !program.is_installed(func) {
-                    return Ok(Some(Exit::NeedFunction(func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.reg(SP),
+                let func = function_index(regs.gpr[rs.0 as usize])?;
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 3,
                 });
-                self.cur_func = func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIntrinsic { which, nargs } => {
-                self.stats.calls += 1;
-                let args: Vec<u64> = (0..*nargs).map(|i| self.reg(Reg(8 + i))).collect();
-                self.pending_intrinsic = true;
-                return Ok(Some(Exit::Intrinsic {
+                stats.calls += 1;
+                let first = O0.0 as usize;
+                return Ok(Flow::Intrinsic {
                     which: *which,
-                    args,
-                }));
+                    args: regs.gpr[first..first + usize::from(*nargs)].to_vec(),
+                });
             }
-            I::Ret => {
-                self.stats.cycles += 2;
-                return Ok(self.do_ret());
-            }
-            I::Unwind => loop {
-                match self.frames.pop() {
-                    None => return Err(TrapKind::UnhandledUnwind),
-                    Some(f) => {
-                        if let Some(pad) = f.unwind {
-                            self.cur_func = f.func;
-                            self.pc = pad;
-                            self.regs = f.saved_regs;
-                            self.fregs = f.saved_fregs;
-                            self.set_reg(SP, f.saved_sp);
-                            self.stats.cycles += 2;
-                            return Ok(None);
-                        }
-                    }
-                }
-            },
+            I::Ret => return Ok(Flow::Ret),
+            I::Unwind => return Ok(Flow::Unwind),
             I::MovSym { rd, sym } => {
-                let v = match sym {
-                    Sym::Global(g) => program.global_addr(*g),
-                    Sym::Function(f) => function_value(*f),
-                };
-                self.set_reg(*rd, v);
+                set(regs, *rd, program.resolve(*sym));
                 cycles = 2; // sethi + or
             }
-            I::FMov(d, s) => self.fregs[d.0 as usize] = self.fregs[s.0 as usize],
+            I::FMov(d, s) => regs.fpr[d.0 as usize] = regs.fpr[s.0 as usize],
             I::FAlu {
                 op,
                 fs1,
@@ -819,27 +498,13 @@ impl SparcMachine {
                 fd,
                 is32,
             } => {
-                let a = fbits(self.fregs[fs1.0 as usize], *is32);
-                let b = fbits(self.fregs[fs2.0 as usize], *is32);
-                let r = match op {
-                    FpOp::Add => a + b,
-                    FpOp::Sub => a - b,
-                    FpOp::Mul => a * b,
-                    FpOp::Div => a / b,
-                };
-                self.fregs[fd.0 as usize] = to_fbits(r, *is32);
+                let (a, b) = (regs.fpr[fs1.0 as usize], regs.fpr[fs2.0 as usize]);
+                regs.fpr[fd.0 as usize] = op.apply(a, b, *is32);
                 cycles = 3;
             }
             I::FCmp { fs1, fs2, is32 } => {
-                let a = fbits(self.fregs[fs1.0 as usize], *is32);
-                let b = fbits(self.fregs[fs2.0 as usize], *is32);
-                self.flags = Flags {
-                    float: true,
-                    unordered: a.is_nan() || b.is_nan(),
-                    flhs: a,
-                    frhs: b,
-                    ..Flags::default()
-                };
+                let (a, b) = (regs.fpr[fs1.0 as usize], regs.fpr[fs2.0 as usize]);
+                *flags = Flags::float(float(a, *is32), float(b, *is32));
                 cycles = 2;
             }
             I::CvtIF {
@@ -848,9 +513,7 @@ impl SparcMachine {
                 to32,
                 signed,
             } => {
-                let v = self.reg(*rs);
-                let f = if *signed { v as i64 as f64 } else { v as f64 };
-                self.fregs[fd.0 as usize] = to_fbits(f, *to32);
+                regs.fpr[fd.0 as usize] = int_to_float(regs.gpr[rs.0 as usize], *signed, *to32);
                 cycles = 3;
             }
             I::CvtFI {
@@ -859,44 +522,29 @@ impl SparcMachine {
                 from32,
                 signed,
             } => {
-                let f = fbits(self.fregs[fs.0 as usize], *from32);
-                let v = if *signed { (f as i64) as u64 } else { f as u64 };
-                self.set_reg(*rd, v);
+                let v = float_to_int(regs.fpr[fs.0 as usize], *from32, *signed);
+                set(regs, *rd, v);
                 cycles = 3;
             }
             I::CvtFF { fd, fs, to32 } => {
-                let f = fbits(self.fregs[fs.0 as usize], !*to32);
-                self.fregs[fd.0 as usize] = to_fbits(f, *to32);
+                regs.fpr[fd.0 as usize] = float_to_float(regs.fpr[fs.0 as usize], *to32);
                 cycles = 2;
             }
-            I::MovGF(rd, fs) => self.set_reg(*rd, self.fregs[fs.0 as usize]),
-            I::MovFG(fd, rs) => self.fregs[fd.0 as usize] = self.reg(*rs),
+            I::MovGF(rd, fs) => {
+                let v = regs.fpr[fs.0 as usize];
+                set(regs, *rd, v);
+            }
+            I::MovFG(fd, rs) => regs.fpr[fd.0 as usize] = regs.gpr[rs.0 as usize],
         }
-        self.pc = next_pc;
-        self.stats.cycles += cycles;
-        Ok(None)
-    }
-}
-
-fn fbits(bits: u64, is32: bool) -> f64 {
-    if is32 {
-        f32::from_bits(bits as u32) as f64
-    } else {
-        f64::from_bits(bits)
-    }
-}
-
-fn to_fbits(v: f64, is32: bool) -> u64 {
-    if is32 {
-        (v as f32).to_bits() as u64
-    } else {
-        v.to_bits()
+        Ok(Flow::Next(cycles))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Exit;
+    use crate::memory::Memory;
     use llva_core::layout::Endianness;
 
     fn machine() -> SparcMachine {
@@ -905,9 +553,19 @@ mod tests {
 
     #[test]
     fn g0_is_always_zero() {
+        use SparcInst as I;
+        let mut p = SparcProgram::new(1, vec![]);
+        let or = |rs1, imm, rd| I::Alu {
+            op: AluOp::Or,
+            rs1,
+            rhs: RegOrImm::Imm(imm),
+            rd,
+            trapping: false,
+        };
+        p.install(0, vec![or(G0, 42, G0), or(G0, 0, O0), I::Ret]);
         let mut m = machine();
-        m.set_reg(G0, 42);
-        assert_eq!(m.reg(G0), 0);
+        m.call_entry(0, &[]).unwrap();
+        assert_eq!(m.run(&p, 100), Exit::Halt(0));
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! and return addresses live in a simulator-internal frame stack rather
 //! than in memory (arguments are still passed on the memory stack).
 //!
-//! Instruction byte sizes reported by [`native_size`](X86Inst::native_size)
+//! Instruction byte sizes reported by [`native_size`](Isa::native_size)
 //! approximate real IA-32 encodings and feed the "Native size" column
 //! of Table 2.
 
-use crate::common::{Exit, Sym, Trap, TrapKind, Width};
+pub use crate::common::{function_value, FpOp, FUNC_TAG};
+use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
 use crate::memory::Memory;
 use llva_core::intrinsics::Intrinsic;
-use std::sync::Arc;
 
-/// The eight general-purpose registers (64-bit in this simulation).
+/// The eight general-purpose registers (64-bit in this simulation),
+/// declared in encoding order: a register's discriminant is its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gpr {
     /// Accumulator / return value.
@@ -50,10 +52,6 @@ impl Gpr {
         Gpr::Esi,
         Gpr::Edi,
     ];
-
-    fn idx(self) -> usize {
-        Gpr::ALL.iter().position(|&g| g == self).expect("in ALL")
-    }
 }
 
 /// The eight SSE-like floating-point registers.
@@ -115,17 +113,23 @@ pub enum Cond {
     Ae,
 }
 
-/// Floating-point ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FpOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
+impl Cond {
+    /// Whether the condition holds for the last compare.
+    pub fn holds(self, flags: Flags) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let order = match self {
+            Cond::L | Cond::G | Cond::Le | Cond::Ge => flags.signed,
+            _ => flags.unsigned,
+        };
+        match self {
+            Cond::E => order == Some(Equal),
+            Cond::Ne => order != Some(Equal),
+            Cond::L | Cond::B => order == Some(Less),
+            Cond::G | Cond::A => order == Some(Greater),
+            Cond::Le | Cond::Be => matches!(order, Some(Less | Equal)),
+            Cond::Ge | Cond::Ae => matches!(order, Some(Greater | Equal)),
+        }
+    }
 }
 
 /// Result-width normalization applied by ALU operations — models the
@@ -318,9 +322,35 @@ pub enum X86Inst {
     ZeroExtend(Gpr, Width),
 }
 
-impl X86Inst {
-    /// Approximate encoded size in bytes of the real IA-32 equivalent.
-    pub fn native_size(&self) -> u32 {
+/// A translated IA-32-like program.
+pub type X86Program = Program<X86Inst>;
+
+/// The simulated IA-32-like processor.
+pub type X86Machine = Machine<X86Inst>;
+
+const EAX: usize = Gpr::Eax as usize;
+const EDX: usize = Gpr::Edx as usize;
+const ESP: usize = Gpr::Esp as usize;
+
+fn addr(regs: &Regs, m: MemOp) -> u64 {
+    regs.gpr[m.base as usize].wrapping_add(m.disp as i64 as u64)
+}
+
+fn push(regs: &mut Regs, mem: &mut Memory, v: u64) -> Result<(), TrapKind> {
+    let sp = regs.gpr[ESP] - 8;
+    if sp < mem.stack_limit() {
+        return Err(TrapKind::StackOverflow);
+    }
+    mem.store(sp, v, Width::B8)?;
+    regs.gpr[ESP] = sp;
+    Ok(())
+}
+
+impl Isa for X86Inst {
+    const SP: usize = ESP;
+    const RESULT: usize = EAX;
+
+    fn native_size(&self) -> u32 {
         fn disp_size(d: i32) -> u32 {
             if d == 0 {
                 1
@@ -376,575 +406,188 @@ impl X86Inst {
             X86Inst::SignExtend(..) | X86Inst::ZeroExtend(..) => 3,
         }
     }
-}
 
-/// A fully translated native program: per-function code plus the global
-/// address map produced at load/relocation time.
-#[derive(Debug, Clone, Default)]
-pub struct X86Program {
-    functions: Vec<Option<Arc<Vec<X86Inst>>>>,
-    global_addrs: Vec<u64>,
-}
-
-impl X86Program {
-    /// Creates an empty program with `num_functions` translation slots
-    /// and a global address map.
-    pub fn new(num_functions: usize, global_addrs: Vec<u64>) -> X86Program {
-        X86Program {
-            functions: vec![None; num_functions],
-            global_addrs,
-        }
-    }
-
-    /// Grows the translation table to at least `n` slots (self-
-    /// extending code adds functions after program creation, §3.4).
-    pub fn ensure_slots(&mut self, n: usize) {
-        if self.functions.len() < n {
-            self.functions.resize(n, None);
-        }
-    }
-
-    /// Installs translated code for function `idx` (JIT or cache load).
-    pub fn install(&mut self, idx: u32, code: Vec<X86Inst>) {
-        self.functions[idx as usize] = Some(Arc::new(code));
-    }
-
-    /// Removes the code for function `idx` (SMC invalidation, §3.4).
-    pub fn invalidate(&mut self, idx: u32) {
-        self.functions[idx as usize] = None;
-    }
-
-    /// Whether code for function `idx` is installed.
-    pub fn is_installed(&self, idx: u32) -> bool {
-        self.functions
-            .get(idx as usize)
-            .map(Option::is_some)
-            .unwrap_or(false)
-    }
-
-    /// The installed code for function `idx`.
-    pub fn code(&self, idx: u32) -> Option<&Arc<Vec<X86Inst>>> {
-        self.functions.get(idx as usize).and_then(Option::as_ref)
-    }
-
-    /// The relocated address of global `idx`.
-    pub fn global_addr(&self, idx: u32) -> u64 {
-        self.global_addrs[idx as usize]
-    }
-
-    /// Total native instruction count across installed functions
-    /// (the "#X86 Inst." column of Table 2).
-    pub fn total_insts(&self) -> usize {
-        self.functions
-            .iter()
-            .flatten()
-            .map(|c| c.len())
-            .sum()
-    }
-
-    /// Total approximate native code bytes across installed functions.
-    pub fn total_bytes(&self) -> usize {
-        self.functions
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter())
-            .map(|i| i.native_size() as usize)
-            .sum()
-    }
-}
-
-/// Tag bit marking a value as a function "address". Kept below bit 31
-/// so tagged function pointers survive 32-bit pointer stores on the
-/// IA-32-like target (simulated memories stay far below 1 GiB).
-pub const FUNC_TAG: u64 = 1 << 30;
-
-/// Packs a function index into a tagged function address value.
-pub fn function_value(idx: u32) -> u64 {
-    FUNC_TAG | u64::from(idx)
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    func: u32,
-    ret_pc: u32,
-    saved_sp: u64,
-    unwind: Option<u32>,
-    // The caller's register file at the call site — what a real
-    // unwinder reconstructs from unwind tables. Restored when an
-    // `unwind` lands at this call's landing pad, so EBP and values
-    // homed in callee-saved registers survive the non-local exit.
-    saved_regs: [u64; 8],
-    saved_fregs: [u64; 8],
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Flags {
-    lhs: u64,
-    rhs: u64,
-    float: bool,
-    unordered: bool,
-    flhs: f64,
-    frhs: f64,
-}
-
-/// The simulated IA-32-like processor.
-#[derive(Debug)]
-pub struct X86Machine {
-    /// The processor's memory.
-    pub mem: Memory,
-    regs: [u64; 8],
-    fregs: [u64; 8],
-    flags: Flags,
-    frames: Vec<Frame>,
-    cur_func: u32,
-    pc: u32,
-    stats: crate::common::ExecStats,
-    pending_intrinsic: bool,
-}
-
-impl X86Machine {
-    /// Creates a machine over `mem`, with the stack pointer initialized
-    /// to the top of memory.
-    pub fn new(mem: Memory) -> X86Machine {
-        let sp = mem.initial_sp();
-        let mut m = X86Machine {
-            mem,
-            regs: [0; 8],
-            fregs: [0; 8],
-            flags: Flags::default(),
-            frames: Vec::new(),
-            cur_func: 0,
-            pc: 0,
-            stats: crate::common::ExecStats::default(),
-            pending_intrinsic: false,
-        };
-        m.regs[Gpr::Esp.idx()] = sp;
-        m
-    }
-
-    /// Execution statistics so far.
-    pub fn stats(&self) -> crate::common::ExecStats {
-        self.stats
-    }
-
-    /// Reads a GPR (tests and the engine use this to fetch results).
-    pub fn reg(&self, r: Gpr) -> u64 {
-        self.regs[r.idx()]
-    }
-
-    /// Writes a GPR.
-    pub fn set_reg(&mut self, r: Gpr, v: u64) {
-        self.regs[r.idx()] = v;
-    }
-
-    /// Reads a float register's raw bits.
-    pub fn freg(&self, r: Fpr) -> u64 {
-        self.fregs[r.0 as usize]
-    }
-
-    /// Positions the machine at the entry of function `func` with the
-    /// given arguments pushed per the stack calling convention.
-    pub fn call_entry(&mut self, func: u32, args: &[u64]) -> Result<(), Trap> {
-        // push args right-to-left
-        for &a in args.iter().rev() {
-            self.push(a).map_err(|k| self.trap_here(k))?;
-        }
-        self.cur_func = func;
-        self.pc = 0;
-        self.frames.clear();
-        Ok(())
-    }
-
-    /// The (function, pc) the machine is currently positioned at.
-    pub fn current_location(&self) -> (u32, u32) {
-        (self.cur_func, self.pc)
-    }
-
-    /// The current call depth (used by `llva.stack.frames`).
-    pub fn call_depth(&self) -> usize {
-        self.frames.len() + 1
-    }
-
-    /// The function index executing at `depth` (0 = innermost).
-    pub fn frame_function(&self, depth: usize) -> Option<u32> {
-        if depth == 0 {
-            return Some(self.cur_func);
-        }
-        self.frames
-            .iter()
+    /// Arguments go on the memory stack, pushed right to left.
+    fn enter(cpu: &mut Cpu, args: &[u64]) -> Result<(), TrapKind> {
+        args.iter()
             .rev()
-            .nth(depth - 1)
-            .map(|f| f.func)
-    }
-
-    fn trap_here(&self, kind: TrapKind) -> Trap {
-        Trap {
-            kind,
-            function: self.cur_func,
-            pc: self.pc,
-        }
-    }
-
-    fn push(&mut self, v: u64) -> Result<(), TrapKind> {
-        let sp = self.regs[Gpr::Esp.idx()] - 8;
-        if sp < self.mem.stack_limit() {
-            return Err(TrapKind::StackOverflow);
-        }
-        self.mem.store(sp, v, Width::B8)?;
-        self.regs[Gpr::Esp.idx()] = sp;
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Result<u64, TrapKind> {
-        let sp = self.regs[Gpr::Esp.idx()];
-        let v = self.mem.load(sp, Width::B8)?;
-        self.regs[Gpr::Esp.idx()] = sp + 8;
-        Ok(v)
-    }
-
-    fn addr(&self, mem: MemOp) -> u64 {
-        self.regs[mem.base.idx()].wrapping_add(mem.disp as i64 as u64)
-    }
-
-    fn cond(&self, c: Cond) -> bool {
-        if self.flags.float {
-            let (a, b) = (self.flags.flhs, self.flags.frhs);
-            if self.flags.unordered {
-                return matches!(c, Cond::Ne);
-            }
-            return match c {
-                Cond::E => a == b,
-                Cond::Ne => a != b,
-                Cond::L | Cond::B => a < b,
-                Cond::G | Cond::A => a > b,
-                Cond::Le | Cond::Be => a <= b,
-                Cond::Ge | Cond::Ae => a >= b,
-            };
-        }
-        let (a, b) = (self.flags.lhs, self.flags.rhs);
-        let (sa, sb) = (a as i64, b as i64);
-        match c {
-            Cond::E => a == b,
-            Cond::Ne => a != b,
-            Cond::L => sa < sb,
-            Cond::G => sa > sb,
-            Cond::Le => sa <= sb,
-            Cond::Ge => sa >= sb,
-            Cond::B => a < b,
-            Cond::A => a > b,
-            Cond::Be => a <= b,
-            Cond::Ae => a >= b,
-        }
-    }
-
-    /// Completes a pending intrinsic call with its return value.
-    pub fn finish_intrinsic(&mut self, ret: u64) {
-        debug_assert!(self.pending_intrinsic);
-        self.regs[Gpr::Eax.idx()] = ret;
-        self.pending_intrinsic = false;
-        self.pc += 1;
-    }
-
-    /// Runs until an [`Exit`] occurs, executing at most `fuel`
-    /// instructions.
-    pub fn run(&mut self, program: &X86Program, fuel: u64) -> Exit {
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return Exit::OutOfFuel;
-            }
-            remaining -= 1;
-            let Some(code) = program.code(self.cur_func) else {
-                return Exit::NeedFunction(self.cur_func);
-            };
-            let code = Arc::clone(code);
-            let Some(inst) = code.get(self.pc as usize) else {
-                // falling off the end acts like `ret`
-                match self.do_ret() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            };
-            self.stats.instructions += 1;
-            match self.step(inst, program) {
-                Ok(None) => {}
-                Ok(Some(exit)) => return exit,
-                Err(kind) => return Exit::Trapped(self.trap_here(kind)),
-            }
-        }
-    }
-
-    fn do_ret(&mut self) -> Option<Exit> {
-        match self.frames.pop() {
-            None => Some(Exit::Halt(self.regs[Gpr::Eax.idx()])),
-            Some(f) => {
-                self.cur_func = f.func;
-                self.pc = f.ret_pc;
-                None
-            }
-        }
+            .try_for_each(|&a| push(&mut cpu.regs, &mut cpu.mem, a))
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, inst: &X86Inst, program: &X86Program) -> Result<Option<Exit>, TrapKind> {
+    #[inline]
+    fn exec(&self, cpu: &mut Cpu, program: &Program<X86Inst>) -> Result<Flow, TrapKind> {
         use X86Inst as I;
-        let mut next_pc = self.pc + 1;
-        let mut cycles = 1u64;
-        match inst {
-            I::MovRI(r, v) => self.regs[r.idx()] = *v as u64,
-            I::MovRR(d, s) => self.regs[d.idx()] = self.regs[s.idx()],
-            I::MovRSym(d, sym) => {
-                self.regs[d.idx()] = match sym {
-                    Sym::Global(g) => program.global_addr(*g),
-                    Sym::Function(f) => function_value(*f),
-                }
-            }
+        let Cpu {
+            regs,
+            flags,
+            mem,
+            stats,
+        } = cpu;
+        let mut cycles = 1;
+        match self {
+            I::MovRI(d, v) => regs.gpr[*d as usize] = *v as u64,
+            I::MovRR(d, s) => regs.gpr[*d as usize] = regs.gpr[*s as usize],
+            I::MovRSym(d, sym) => regs.gpr[*d as usize] = program.resolve(*sym),
             I::Load {
                 dst,
-                mem,
+                mem: m,
                 width,
                 signed,
             } => {
-                let a = self.addr(*mem);
-                let v = if *signed {
-                    self.mem.load_signed(a, *width)?
+                let a = addr(regs, *m);
+                regs.gpr[*dst as usize] = if *signed {
+                    mem.load_signed(a, *width)?
                 } else {
-                    self.mem.load(a, *width)?
+                    mem.load(a, *width)?
                 };
-                self.regs[dst.idx()] = v;
-                self.stats.loads += 1;
+                stats.loads += 1;
                 cycles = 2;
             }
-            I::Store { src, mem, width } => {
-                let a = self.addr(*mem);
-                self.mem.store(a, self.regs[src.idx()], *width)?;
-                self.stats.stores += 1;
+            I::Store { src, mem: m, width } => {
+                mem.store(addr(regs, *m), regs.gpr[*src as usize], *width)?;
+                stats.stores += 1;
                 cycles = 2;
             }
-            I::Lea(d, mem) => self.regs[d.idx()] = self.addr(*mem),
+            I::Lea(d, m) => regs.gpr[*d as usize] = addr(regs, *m),
             I::AluRR(op, d, s, norm) => {
-                let v = self.regs[s.idx()];
-                self.regs[d.idx()] = norm.apply(alu(*op, self.regs[d.idx()], v));
+                let v = regs.gpr[*s as usize];
+                let d = &mut regs.gpr[*d as usize];
+                *d = norm.apply(alu(*op, *d, v));
             }
             I::AluRI(op, d, v, norm) => {
-                self.regs[d.idx()] = norm.apply(alu(*op, self.regs[d.idx()], *v as u64));
+                let d = &mut regs.gpr[*d as usize];
+                *d = norm.apply(alu(*op, *d, *v as u64));
             }
-            I::AluRM(op, d, mem, norm) => {
-                let a = self.addr(*mem);
-                let v = self.mem.load(a, Width::B8)?;
-                self.regs[d.idx()] = norm.apply(alu(*op, self.regs[d.idx()], v));
-                self.stats.loads += 1;
+            I::AluRM(op, d, m, norm) => {
+                let v = mem.load(addr(regs, *m), Width::B8)?;
+                let d = &mut regs.gpr[*d as usize];
+                *d = norm.apply(alu(*op, *d, v));
+                stats.loads += 1;
                 cycles = 2;
             }
             I::IMulRR(d, s, norm) => {
-                self.regs[d.idx()] =
-                    norm.apply(self.regs[d.idx()].wrapping_mul(self.regs[s.idx()]));
+                let v = regs.gpr[*s as usize];
+                let d = &mut regs.gpr[*d as usize];
+                *d = norm.apply(d.wrapping_mul(v));
                 cycles = 3;
             }
-            I::IMulRM(d, mem, norm) => {
-                let a = self.addr(*mem);
-                let v = self.mem.load(a, Width::B8)?;
-                self.regs[d.idx()] = norm.apply(self.regs[d.idx()].wrapping_mul(v));
-                self.stats.loads += 1;
+            I::IMulRM(d, m, norm) => {
+                let v = mem.load(addr(regs, *m), Width::B8)?;
+                let d = &mut regs.gpr[*d as usize];
+                *d = norm.apply(d.wrapping_mul(v));
+                stats.loads += 1;
                 cycles = 4;
             }
-            I::Cdq => {
-                self.regs[Gpr::Edx.idx()] = ((self.regs[Gpr::Eax.idx()] as i64) >> 63) as u64;
-            }
+            I::Cdq => regs.gpr[EDX] = ((regs.gpr[EAX] as i64) >> 63) as u64,
             I::Div {
                 signed,
                 divisor,
                 trapping,
                 norm,
             } => {
-                let d = self.regs[divisor.idx()];
-                let a = self.regs[Gpr::Eax.idx()];
-                if d == 0 {
+                let (a, d) = (regs.gpr[EAX], regs.gpr[*divisor as usize]);
+                let (q, r) = if d == 0 {
                     if *trapping {
                         return Err(TrapKind::DivideByZero);
                     }
-                    self.regs[Gpr::Eax.idx()] = 0;
-                    self.regs[Gpr::Edx.idx()] = 0;
+                    (0, 0)
                 } else if *signed {
-                    let (q, r) = ((a as i64).wrapping_div(d as i64), (a as i64).wrapping_rem(d as i64));
-                    self.regs[Gpr::Eax.idx()] = norm.apply(q as u64);
-                    self.regs[Gpr::Edx.idx()] = norm.apply(r as u64);
+                    let (a, d) = (a as i64, d as i64);
+                    (a.wrapping_div(d) as u64, a.wrapping_rem(d) as u64)
                 } else {
-                    self.regs[Gpr::Eax.idx()] = norm.apply(a / d);
-                    self.regs[Gpr::Edx.idx()] = norm.apply(a % d);
-                }
+                    (a / d, a % d)
+                };
+                regs.gpr[EAX] = norm.apply(q);
+                regs.gpr[EDX] = norm.apply(r);
                 cycles = 20;
             }
-            I::CmpRR(a, b) => {
-                self.flags = Flags {
-                    lhs: self.regs[a.idx()],
-                    rhs: self.regs[b.idx()],
-                    ..Flags::default()
-                };
-            }
-            I::CmpRI(a, v) => {
-                self.flags = Flags {
-                    lhs: self.regs[a.idx()],
-                    rhs: *v as u64,
-                    ..Flags::default()
-                };
-            }
-            I::CmpRM(a, mem) => {
-                let addr = self.addr(*mem);
-                let v = self.mem.load(addr, Width::B8)?;
-                self.flags = Flags {
-                    lhs: self.regs[a.idx()],
-                    rhs: v,
-                    ..Flags::default()
-                };
-                self.stats.loads += 1;
+            I::CmpRR(a, b) => *flags = Flags::int(regs.gpr[*a as usize], regs.gpr[*b as usize]),
+            I::CmpRI(a, v) => *flags = Flags::int(regs.gpr[*a as usize], *v as u64),
+            I::CmpRM(a, m) => {
+                let v = mem.load(addr(regs, *m), Width::B8)?;
+                *flags = Flags::int(regs.gpr[*a as usize], v);
+                stats.loads += 1;
                 cycles = 2;
             }
-            I::Setcc(c, d) => {
-                self.regs[d.idx()] = u64::from(self.cond(*c));
-            }
-            I::Jmp(t) => {
-                next_pc = *t;
-                self.stats.taken_branches += 1;
-            }
+            I::Setcc(c, d) => regs.gpr[*d as usize] = u64::from(c.holds(*flags)),
+            I::Jmp(t) => return Ok(Flow::Jump(*t)),
             I::Jcc(c, t) => {
-                if self.cond(*c) {
-                    next_pc = *t;
-                    self.stats.taken_branches += 1;
+                if c.holds(*flags) {
+                    return Ok(Flow::Jump(*t));
                 }
             }
             I::CallFn { func, unwind } => {
-                self.stats.calls += 1;
-                cycles = 2;
-                if !program.is_installed(*func) {
-                    return Ok(Some(Exit::NeedFunction(*func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.regs[Gpr::Esp.idx()],
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func: *func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 2,
                 });
-                self.cur_func = *func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIndirect { target, unwind } => {
-                let v = self.regs[target.idx()];
-                if v & FUNC_TAG == 0 {
-                    return Err(TrapKind::BadFunctionPointer);
-                }
-                let func = (v & !FUNC_TAG) as u32;
-                self.stats.calls += 1;
-                cycles = 3;
-                if !program.is_installed(func) {
-                    return Ok(Some(Exit::NeedFunction(func)));
-                }
-                self.frames.push(Frame {
-                    func: self.cur_func,
-                    ret_pc: next_pc,
-                    saved_sp: self.regs[Gpr::Esp.idx()],
+                let func = function_index(regs.gpr[*target as usize])?;
+                stats.calls += 1;
+                return Ok(Flow::Call {
+                    func,
                     unwind: *unwind,
-                    saved_regs: self.regs,
-                    saved_fregs: self.fregs,
+                    cycles: 3,
                 });
-                self.cur_func = func;
-                self.pc = 0;
-                self.stats.cycles += cycles;
-                return Ok(None);
             }
             I::CallIntrinsic { which, nargs } => {
-                self.stats.calls += 1;
-                let sp = self.regs[Gpr::Esp.idx()];
-                let mut args = Vec::with_capacity(*nargs as usize);
-                for i in 0..*nargs {
-                    args.push(self.mem.load(sp + 8 * u64::from(i), Width::B8)?);
-                }
-                self.pending_intrinsic = true;
-                return Ok(Some(Exit::Intrinsic {
+                stats.calls += 1;
+                let sp = regs.gpr[ESP];
+                let args = (0..u64::from(*nargs))
+                    .map(|i| mem.load(sp + 8 * i, Width::B8))
+                    .collect::<Result<_, _>>()?;
+                return Ok(Flow::Intrinsic {
                     which: *which,
                     args,
-                }));
+                });
             }
-            I::Ret => {
-                self.stats.cycles += 2;
-                return Ok(self.do_ret());
-            }
-            I::Unwind => loop {
-                match self.frames.pop() {
-                    None => return Err(TrapKind::UnhandledUnwind),
-                    Some(f) => {
-                        if let Some(pad) = f.unwind {
-                            self.cur_func = f.func;
-                            self.pc = pad;
-                            self.regs = f.saved_regs;
-                            self.fregs = f.saved_fregs;
-                            self.regs[Gpr::Esp.idx()] = f.saved_sp;
-                            self.stats.cycles += 2;
-                            return Ok(None);
-                        }
-                    }
-                }
-            },
+            I::Ret => return Ok(Flow::Ret),
+            I::Unwind => return Ok(Flow::Unwind),
             I::Push(r) => {
-                self.push(self.regs[r.idx()])?;
-                self.stats.stores += 1;
+                let v = regs.gpr[*r as usize];
+                push(regs, mem, v)?;
+                stats.stores += 1;
                 cycles = 2;
             }
             I::Pop(r) => {
-                let v = self.pop()?;
-                self.regs[r.idx()] = v;
-                self.stats.loads += 1;
+                let sp = regs.gpr[ESP];
+                let v = mem.load(sp, Width::B8)?;
+                regs.gpr[ESP] = sp + 8;
+                regs.gpr[*r as usize] = v;
+                stats.loads += 1;
                 cycles = 2;
             }
-            I::FLoad { dst, mem, is32 } => {
-                let a = self.addr(*mem);
-                let v = if *is32 {
-                    self.mem.load(a, Width::B4)?
-                } else {
-                    self.mem.load(a, Width::B8)?
-                };
-                self.fregs[dst.0 as usize] = v;
-                self.stats.loads += 1;
+            I::FLoad { dst, mem: m, is32 } => {
+                let width = if *is32 { Width::B4 } else { Width::B8 };
+                regs.fpr[dst.0 as usize] = mem.load(addr(regs, *m), width)?;
+                stats.loads += 1;
                 cycles = 2;
             }
-            I::FStore { src, mem, is32 } => {
-                let a = self.addr(*mem);
-                let v = self.fregs[src.0 as usize];
+            I::FStore { src, mem: m, is32 } => {
+                let v = regs.fpr[src.0 as usize];
+                let a = addr(regs, *m);
                 if *is32 {
-                    self.mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
+                    mem.store(a, v & 0xFFFF_FFFF, Width::B4)?;
                 } else {
-                    self.mem.store(a, v, Width::B8)?;
+                    mem.store(a, v, Width::B8)?;
                 }
-                self.stats.stores += 1;
+                stats.stores += 1;
                 cycles = 2;
             }
-            I::FMovRR(d, s) => self.fregs[d.0 as usize] = self.fregs[s.0 as usize],
+            I::FMovRR(d, s) => regs.fpr[d.0 as usize] = regs.fpr[s.0 as usize],
             I::FAlu(op, d, s, is32) => {
-                let a = fbits_to_f64(self.fregs[d.0 as usize], *is32);
-                let b = fbits_to_f64(self.fregs[s.0 as usize], *is32);
-                let r = match op {
-                    FpOp::Add => a + b,
-                    FpOp::Sub => a - b,
-                    FpOp::Mul => a * b,
-                    FpOp::Div => a / b,
-                };
-                self.fregs[d.0 as usize] = f64_to_fbits(r, *is32);
+                let v = regs.fpr[s.0 as usize];
+                let d = &mut regs.fpr[d.0 as usize];
+                *d = op.apply(*d, v, *is32);
                 cycles = 3;
             }
             I::FCmp(a, b, is32) => {
-                let x = fbits_to_f64(self.fregs[a.0 as usize], *is32);
-                let y = fbits_to_f64(self.fregs[b.0 as usize], *is32);
-                self.flags = Flags {
-                    float: true,
-                    unordered: x.is_nan() || y.is_nan(),
-                    flhs: x,
-                    frhs: y,
-                    ..Flags::default()
-                };
+                let (a, b) = (regs.fpr[a.0 as usize], regs.fpr[b.0 as usize]);
+                *flags = Flags::float(float(a, *is32), float(b, *is32));
                 cycles = 2;
             }
             I::CvtIF {
@@ -953,9 +596,7 @@ impl X86Machine {
                 to32,
                 signed,
             } => {
-                let v = self.regs[src.idx()];
-                let f = if *signed { v as i64 as f64 } else { v as f64 };
-                self.fregs[dst.0 as usize] = f64_to_fbits(f, *to32);
+                regs.fpr[dst.0 as usize] = int_to_float(regs.gpr[*src as usize], *signed, *to32);
                 cycles = 3;
             }
             I::CvtFI {
@@ -964,34 +605,25 @@ impl X86Machine {
                 from32,
                 signed,
             } => {
-                let f = fbits_to_f64(self.fregs[src.0 as usize], *from32);
-                self.regs[dst.idx()] = if *signed {
-                    (f as i64) as u64
-                } else {
-                    f as u64
-                };
+                regs.gpr[*dst as usize] = float_to_int(regs.fpr[src.0 as usize], *from32, *signed);
                 cycles = 3;
             }
             I::CvtFF { dst, src, to32 } => {
-                let f = fbits_to_f64(self.fregs[src.0 as usize], !*to32);
-                self.fregs[dst.0 as usize] = f64_to_fbits(f, *to32);
+                regs.fpr[dst.0 as usize] = float_to_float(regs.fpr[src.0 as usize], *to32);
                 cycles = 2;
             }
-            I::MovGF(d, s) => self.regs[d.idx()] = self.fregs[s.0 as usize],
-            I::MovFG(d, s) => self.fregs[d.0 as usize] = self.regs[s.idx()],
+            I::MovGF(d, s) => regs.gpr[*d as usize] = regs.fpr[s.0 as usize],
+            I::MovFG(d, s) => regs.fpr[d.0 as usize] = regs.gpr[*s as usize],
             I::SignExtend(r, w) => {
-                let bits = w.bytes() as u32 * 8;
-                self.regs[r.idx()] =
-                    llva_core::eval::sign_extend(self.regs[r.idx()], bits) as u64;
+                let r = &mut regs.gpr[*r as usize];
+                *r = llva_core::eval::sign_extend(*r, w.bytes() as u32 * 8) as u64;
             }
             I::ZeroExtend(r, w) => {
-                let bits = w.bytes() as u32 * 8;
-                self.regs[r.idx()] = llva_core::eval::truncate(self.regs[r.idx()], bits);
+                let r = &mut regs.gpr[*r as usize];
+                *r = llva_core::eval::truncate(*r, w.bytes() as u32 * 8);
             }
         }
-        self.pc = next_pc;
-        self.stats.cycles += cycles;
-        Ok(None)
+        Ok(Flow::Next(cycles))
     }
 }
 
@@ -1008,25 +640,11 @@ fn alu(op: AluOp, a: u64, b: u64) -> u64 {
     }
 }
 
-fn fbits_to_f64(bits: u64, is32: bool) -> f64 {
-    if is32 {
-        f32::from_bits(bits as u32) as f64
-    } else {
-        f64::from_bits(bits)
-    }
-}
-
-fn f64_to_fbits(v: f64, is32: bool) -> u64 {
-    if is32 {
-        (v as f32).to_bits() as u64
-    } else {
-        v.to_bits()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Exit;
+    use crate::memory::Memory;
     use llva_core::layout::Endianness;
 
     fn machine() -> X86Machine {

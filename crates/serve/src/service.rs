@@ -457,6 +457,37 @@ struct Journal {
     modules: BTreeMap<String, JournalEntry>,
 }
 
+/// Which content-addressed caches loaded modules hold, service-wide. A
+/// cache lives while some loaded module holds it: every tenant journal
+/// entry holds its module's cache (the journal, not the executor,
+/// because the journal survives respawns), and the last release deletes
+/// the cache from storage. Shutdown and drain release nothing, so a
+/// later service over the same directory still attaches warm.
+struct CacheHolds {
+    storage: ShardedStorage<BoxedStorage>,
+    holders: Mutex<BTreeMap<String, usize>>,
+}
+
+impl CacheHolds {
+    fn take(&self, cache: &str) {
+        *lock_plain(&self.holders).entry(cache.to_string()).or_default() += 1;
+    }
+
+    /// Drops one hold. The last one deletes the cache, under the lock,
+    /// so a load taking a hold meanwhile probes the storage only after.
+    fn release(&self, cache: &str) {
+        let mut holders = lock_plain(&self.holders);
+        let Some(n) = holders.get_mut(cache) else {
+            return;
+        };
+        *n -= 1;
+        if *n == 0 {
+            holders.remove(cache);
+            self.storage.clone().delete_cache(cache);
+        }
+    }
+}
+
 /// Caller-visible shared state for one tenant (atomics + mailboxes;
 /// everything here is readable without blocking on the executor and
 /// survives executor respawns).
@@ -569,6 +600,7 @@ enum Command {
 struct Inner {
     config: ServeConfig,
     storage: ShardedStorage<BoxedStorage>,
+    holds: Arc<CacheHolds>,
     tenants: RwLock<BTreeMap<String, Arc<TenantHandle>>>,
     /// Service birth; the wedge heartbeat is ms since this instant.
     started: Instant,
@@ -626,9 +658,14 @@ impl ExecService {
     ) -> ExecService {
         let storage = ShardedStorage::new(config.shards, mk);
         let monitor_interval = config.monitor_interval;
+        let holds = Arc::new(CacheHolds {
+            storage: storage.clone(),
+            holders: Mutex::new(BTreeMap::new()),
+        });
         let inner = Arc::new(Inner {
             config,
             storage,
+            holds,
             tenants: RwLock::new(BTreeMap::new()),
             started: Instant::now(),
             draining: AtomicBool::new(false),
@@ -734,6 +771,7 @@ impl ExecService {
                 shared: Arc::clone(&shared),
                 config: self.inner.config.clone(),
                 storage: self.inner.storage.clone(),
+                holds: Arc::clone(&self.inner.holds),
                 quota,
                 started: self.inner.started,
             },
@@ -770,6 +808,10 @@ impl ExecService {
                 .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))?
         };
         stop_tenant(&handle);
+        let journal = std::mem::take(&mut lock_plain(&handle.shared.journal).modules);
+        for entry in journal.values() {
+            self.inner.holds.release(&entry.cache);
+        }
         Ok(())
     }
 
@@ -1085,7 +1127,8 @@ impl ExecService {
     }
 
     /// Unloads a module (its supervisor, incidents, and quarantines go
-    /// with it; the shared cache keeps its entries for future loads).
+    /// with it; the shared cache goes too once no loaded module of any
+    /// tenant holds it).
     ///
     /// # Errors
     ///
@@ -1465,6 +1508,7 @@ fn respawn_if_unhealthy(inner: &Arc<Inner>, name: &str, handle: &Arc<TenantHandl
             shared: Arc::clone(shared),
             config: inner.config.clone(),
             storage: inner.storage.clone(),
+            holds: Arc::clone(&inner.holds),
             quota: handle.quota,
             started: inner.started,
         },
@@ -1498,6 +1542,7 @@ struct ExecutorSpec {
     shared: Arc<TenantShared>,
     config: ServeConfig,
     storage: ShardedStorage<BoxedStorage>,
+    holds: Arc<CacheHolds>,
     quota: TenantQuota,
     started: Instant,
 }
@@ -1625,9 +1670,12 @@ fn executor_loop(spec: &ExecutorSpec, receiver: &Receiver<Command>) {
             }
             Command::Unload { module, ticket, reply } => {
                 let result = if modules.remove(&module).is_some() {
-                    with_journal(shared, spec.epoch, |journal| {
-                        journal.modules.remove(&module);
+                    let unloaded = with_journal(shared, spec.epoch, |journal| {
+                        journal.modules.remove(&module)
                     });
+                    if let Some(Some(entry)) = unloaded {
+                        spec.holds.release(&entry.cache);
+                    }
                     Ok(())
                 } else {
                     Err(ServeError::NoSuchModule(module))
@@ -1712,6 +1760,10 @@ fn rebuild_from_journal(spec: &ExecutorSpec) -> BTreeMap<String, ModuleRuntime> 
             build_runtime(spec, &entry.source)
         }))
         .unwrap_or_else(|p| Err(ServeError::Internal(panic_message(p))));
+        // the journal entry already holds its cache
+        if let Ok((_, reply)) = &rebuilt {
+            spec.holds.release(&reply.cache);
+        }
         match rebuilt {
             // Journal integrity: the rebuilt module must address the
             // same cache (same stamp) and define the same functions as
@@ -1832,6 +1884,9 @@ fn build_runtime(
     // can never thrash each other's entries.
     let module_stamp = llee::stamp(&parsed);
     let cache = format!("m{module_stamp:016x}");
+    // Hold the cache before probing it: a concurrent release of its
+    // last other holder must not delete what this load finds or writes.
+    spec.holds.take(&cache);
     {
         let mut handle = storage.clone();
         handle.create_cache(&cache);
@@ -1881,8 +1936,10 @@ fn build_runtime(
     if let Some(img) = &image {
         warm.set_image(img.clone());
     }
-    warm.translate_all_parallel(workers)
-        .map_err(|e| ServeError::BadModule(format!("translation failed: {e}")))?;
+    if let Err(e) = warm.translate_all_parallel(workers) {
+        spec.holds.release(&cache);
+        return Err(ServeError::BadModule(format!("translation failed: {e}")));
+    }
     let warmup = warm.stats();
     // Cold start: publish an image so every later load of this module —
     // any tenant, any process, any respawn — skips translation AND SSA
@@ -1967,7 +2024,7 @@ fn handle_load(
     // stamp/cache (the warm re-attach address), and fresh baselines —
     // a re-load of the same name is a new module, counters restart.
     let stamp = u64::from_str_radix(reply.cache.trim_start_matches('m'), 16).unwrap_or(0);
-    with_journal(shared, spec.epoch, |journal| {
+    let replaced = with_journal(shared, spec.epoch, |journal| {
         journal.modules.insert(
             module_name.to_string(),
             JournalEntry {
@@ -1979,8 +2036,16 @@ fn handle_load(
                 quarantined: Vec::new(),
                 failed: false,
             },
-        );
+        )
     });
+    // The journal entry now holds the new cache; the entry it replaced
+    // lets go of the old one (a superseded executor journals nothing,
+    // so it lets go of the hold it just took).
+    match replaced {
+        Some(Some(old)) => spec.holds.release(&old.cache),
+        Some(None) => {}
+        None => spec.holds.release(&reply.cache),
+    }
     modules.insert(module_name.to_string(), runtime);
     Ok(reply)
 }

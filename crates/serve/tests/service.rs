@@ -607,3 +607,64 @@ int work(int n) {
         );
     }
 }
+
+fn cache_bytes(svc: &ExecService, cache: &str) -> Option<u64> {
+    use llva_engine::storage::Storage;
+    svc.storage().cache_size(cache)
+}
+
+/// A module cache lives while some loaded module holds it: a tenant
+/// that keeps replacing its module with new text retains one cache, not
+/// one per text it ever loaded, and unloading or removing the tenant
+/// lets go of the last.
+#[test]
+fn replaced_module_caches_are_released() {
+    let svc = service(ServeConfig::default());
+    svc.add_tenant("acme", TenantQuota::default()).unwrap();
+    // constants of one encoded width, so every image is the same size
+    let text = |n: u32| format!("int %cheap() {{\nentry:\n    ret int {}\n}}\n", 1000 + n);
+    let first = svc.load_module("acme", "m", &text(0)).unwrap().cache;
+    let live = cache_bytes(&svc, &first).expect("the loaded module's cache exists");
+    assert!(live > 0, "the load published its image");
+    let mut previous = first;
+    for n in 1..300 {
+        let cache = svc.load_module("acme", "m", &text(n)).unwrap().cache;
+        assert_ne!(cache, previous, "distinct text, distinct cache");
+        assert_eq!(cache_bytes(&svc, &previous), None, "load {n} released the replaced cache");
+        assert_eq!(cache_bytes(&svc, &cache), Some(live), "load {n} holds one cache's bytes");
+        previous = cache;
+    }
+    assert_eq!(svc.call("acme", "m", "cheap", &[]).unwrap().value(), Some(1299));
+    svc.unload_module("acme", "m").unwrap();
+    assert_eq!(cache_bytes(&svc, &previous), None, "unload released the cache");
+
+    let cache = svc.load_module("acme", "m", &text(7)).unwrap().cache;
+    svc.remove_tenant("acme").unwrap();
+    assert_eq!(cache_bytes(&svc, &cache), None, "removing the tenant released the cache");
+}
+
+/// Two tenants loading one text share its cache; when one replaces the
+/// text, the other still holds the cache, and a later load of that text
+/// attaches the published image instead of translating.
+#[test]
+fn shared_cache_outlives_one_holder() {
+    let svc = service(ServeConfig::default());
+    for tenant in ["a", "b", "c"] {
+        svc.add_tenant(tenant, TenantQuota::default()).unwrap();
+    }
+    let text = module_text();
+    let other = "int %cheap() {\nentry:\n    ret int 5\n}\n";
+    let shared = svc.load_module("a", "m", &text).unwrap().cache;
+    assert_eq!(svc.load_module("b", "m", &text).unwrap().cache, shared);
+    svc.load_module("a", "m", other).unwrap();
+    assert!(cache_bytes(&svc, &shared).is_some(), "b still holds the shared cache");
+
+    let warm = svc.load_module("c", "m", &text).unwrap();
+    assert_eq!(warm.warmup.functions_translated, 0, "attached warm from the image");
+    assert_eq!(svc.call("b", "m", "cheap", &[]).unwrap().value(), Some(42));
+
+    svc.load_module("b", "m", other).unwrap();
+    svc.unload_module("c", "m").unwrap();
+    assert_eq!(cache_bytes(&svc, &shared), None, "the last holder released it");
+    assert_eq!(svc.call("b", "m", "cheap", &[]).unwrap().value(), Some(5));
+}

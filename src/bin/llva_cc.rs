@@ -1,7 +1,7 @@
 //! `llva-cc` — compile minic (the C-like front-end language) to LLVA
 //! virtual object code.
 //!
-//! Usage: `llva-cc input.c [-o output.bc] [--target ia32|sparcv9]
+//! Usage: `llva-cc input.c [-o output.bc] [--target ia32|sparcv9|riscv64]
 //!         [--emit-asm] [-O]`
 
 use std::process::exit;
@@ -20,8 +20,9 @@ fn main() {
             "--target" => match it.next().map(String::as_str) {
                 Some("ia32") => target = llva::core::layout::TargetConfig::ia32(),
                 Some("sparcv9") => target = llva::core::layout::TargetConfig::sparc_v9(),
+                Some("riscv64") => target = llva::core::layout::TargetConfig::riscv64(),
                 other => {
-                    eprintln!("llva-cc: unknown target {other:?} (ia32|sparcv9)");
+                    eprintln!("llva-cc: unknown target {other:?} (ia32|sparcv9|riscv64)");
                     exit(1);
                 }
             },
@@ -29,7 +30,7 @@ fn main() {
             "-O" => optimize = true,
             "-h" | "--help" => {
                 eprintln!(
-                    "usage: llva-cc input.c [-o out.bc] [--target ia32|sparcv9] [--emit-asm] [-O]"
+                    "usage: llva-cc input.c [-o out.bc] [--target ia32|sparcv9|riscv64] [--emit-asm] [-O]"
                 );
                 exit(0);
             }
