@@ -1,16 +1,12 @@
 //! Code-generation helpers shared by all three back ends.
 
-pub use crate::peephole::{self, PeepholeConfig, PeepholeStats};
-
 use llva_core::function::Function;
-use llva_core::instruction::{InstId, Opcode};
 use llva_core::layout::TargetConfig;
 use llva_core::module::{Initializer, Module};
 use llva_core::types::{TypeId, TypeKind};
 use llva_core::value::{Constant, ValueId};
 use llva_machine::memory::GLOBAL_BASE;
 use llva_machine::x86::FUNC_TAG;
-use std::collections::{HashMap, HashSet};
 
 /// The globals laid out in simulated memory: per-global addresses plus
 /// the initialized byte image starting at [`GLOBAL_BASE`].
@@ -174,58 +170,6 @@ pub fn canonical_const(module: &Module, c: &Constant) -> u64 {
     }
 }
 
-/// Comparisons whose single use is the conditional branch terminating
-/// the same block; both back ends fuse these into `cmp` + `jcc`.
-pub fn fused_compares(func: &Function) -> HashSet<InstId> {
-    let mut use_counts: HashMap<ValueId, usize> = HashMap::new();
-    for (_, i) in func.inst_iter() {
-        for &op in func.inst(i).operands() {
-            *use_counts.entry(op).or_insert(0) += 1;
-        }
-    }
-    let mut fused = HashSet::new();
-    for &block in func.block_order() {
-        let Some(term) = func.terminator(block) else {
-            continue;
-        };
-        let term_inst = func.inst(term);
-        if term_inst.opcode() != Opcode::Br || term_inst.operands().len() != 1 {
-            continue;
-        }
-        let cond = term_inst.operands()[0];
-        let Some(def) = inst_defining(func, cond) else {
-            continue;
-        };
-        if func.inst_parent(def) == Some(block)
-            && func.inst(def).opcode().is_comparison()
-            && use_counts.get(&cond) == Some(&1)
-        {
-            fused.insert(def);
-        }
-    }
-    fused
-}
-
-/// The instruction defining `v`, if it is an instruction result.
-pub fn inst_defining(func: &Function, v: ValueId) -> Option<InstId> {
-    match func.value(v) {
-        llva_core::value::ValueData::Inst { inst, .. } => Some(*inst),
-        _ => None,
-    }
-}
-
-/// Static use counts of every value in a function (used by the SPARC
-/// back end's register assignment).
-pub fn use_counts(func: &Function) -> HashMap<ValueId, usize> {
-    let mut counts: HashMap<ValueId, usize> = HashMap::new();
-    for (_, i) in func.inst_iter() {
-        for &op in func.inst(i).operands() {
-            *counts.entry(op).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 /// Memory access width and signedness for loads/stores of `ty`.
 pub fn access_of(module: &Module, ty: TypeId) -> (llva_machine::Width, bool) {
     let tt = module.types();
@@ -342,30 +286,6 @@ mod tests {
         let off = (img.addrs[1] - GLOBAL_BASE) as usize;
         let stored = u32::from_le_bytes(img.image[off..off + 4].try_into().unwrap());
         assert_eq!(u64::from(stored), img.addrs[0]);
-    }
-
-    #[test]
-    fn fused_compare_detection() {
-        let m = llva_core::parser::parse_module(
-            r#"
-int %f(int %x) {
-entry:
-    %c = setlt int %x, 10
-    br bool %c, label %a, label %b
-a:
-    ret int 1
-b:
-    %c2 = setgt int %x, 0
-    %d = cast bool %c2 to int
-    br bool %c2, label %a, label %a
-}
-"#,
-        )
-        .expect("parses");
-        let f = m.function(m.function_by_name("f").expect("f"));
-        let fused = fused_compares(f);
-        // %c is fused (single use by same-block br); %c2 is not (2 uses)
-        assert_eq!(fused.len(), 1);
     }
 
     #[test]

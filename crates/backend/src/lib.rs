@@ -1,30 +1,33 @@
 //! # llva-backend — native code generators (the "translator")
 //!
 //! Translates LLVA virtual object code to the three simulated
-//! implementation ISAs in `llva-machine`:
+//! implementation ISAs in `llva-machine` with one code generator:
+//! `lower` is the target-independent lowering driver (frame planning,
+//! the block walk, phi copies, calls, GEP folding, the opcode dispatch)
+//! and each ISA is a small target description it is monomorphised
+//! over:
 //!
-//! * [`x86gen`] — IA-32-like: historically "virtually no optimization
-//!   and very simple register allocation resulting in significant
-//!   spill code" (the paper, §5.2); now uses the same use-count
-//!   linear-scan register assignment as the SPARC back end over its
-//!   three callee-saved registers, with the naive slot-everything
-//!   allocator preserved behind [`x86gen::compile_x86_naive`] for the
-//!   Table 2 spill-delta comparison.
+//! * [`x86gen`] — IA-32-like: three callee-saved registers, two-address
+//!   arithmetic with memory operands, arguments on the stack. The
+//!   paper's translator, "virtually no optimization and very simple
+//!   register allocation resulting in significant spill code" (§5.2),
+//!   is the same driver under the naive policy:
+//!   [`x86gen::compile_x86_naive`], the Table 2 baseline.
 //! * [`sparcgen`] — SPARC-V9-like: "produces higher quality code, but
 //!   requires more instructions because of the RISC architecture";
-//!   use-count-based register assignment over 14 callee-saved
-//!   registers, `sethi`/`or` materialization for wide constants.
+//!   14 callee-saved registers, `sethi`/`or` for wide constants.
 //! * [`riscvgen`] — RV64-like: the third target, proving the V-ISA's
 //!   I-ISA independence with a condition-code-free ISA (fused
 //!   compare-and-branch, `slt`-materialized booleans) and 12-bit
 //!   immediates.
 //!
-//! [`common`] holds shared pieces: global memory image layout,
-//! compare/branch fusion, and constant canonicalization. [`peephole`]
-//! is the shared target-independent peephole pass every generator runs
-//! over its finished stream.
+//! [`common`] holds global memory image layout and constant
+//! canonicalization, shared with the interpreters. [`peephole`] is the
+//! shared target-independent peephole pass run over every finished
+//! stream.
 
 pub mod common;
+mod lower;
 pub mod peephole;
 pub mod riscvgen;
 pub mod sparcgen;

@@ -23,16 +23,15 @@
 //! remapped edge that lands past a tombstone is always behavior
 //! preserving.
 //!
-//! The pass is on by default and switched off with `LLVA_PEEPHOLE=0`
-//! (or `off`); the conformance oracle's `*:nopeep` stages and the
-//! perf-smoke instruction-count deltas are driven through
-//! [`PeepholeConfig`] directly.
+//! The pass is on by default; the conformance oracle's `*:nopeep`
+//! stages and the perf-smoke instruction-count deltas switch it off
+//! through [`PeepholeConfig`].
 
 use llva_machine::common::Width;
 use std::collections::HashSet;
 
-/// Whether the peephole pass runs, threaded from the environment or
-/// set explicitly by tests and the conformance oracle.
+/// Whether the peephole pass runs (off only for tests and the
+/// conformance oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeepholeConfig {
     /// Run the rewrite rules when set.
@@ -48,15 +47,6 @@ impl PeepholeConfig {
     /// The pass disabled — generators emit their raw streams.
     pub fn off() -> PeepholeConfig {
         PeepholeConfig { enabled: false }
-    }
-
-    /// Reads `LLVA_PEEPHOLE` (`0`/`off` disable; anything else, or
-    /// unset, enables).
-    pub fn from_env() -> PeepholeConfig {
-        match std::env::var("LLVA_PEEPHOLE") {
-            Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => PeepholeConfig::off(),
-            _ => PeepholeConfig::on(),
-        }
     }
 }
 

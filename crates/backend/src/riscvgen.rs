@@ -1,1379 +1,638 @@
-//! The RV64 code generator — the third LLEE target.
+//! The RV64 target description — the third LLEE target.
 //!
-//! Same use-count register assignment discipline as the SPARC back end
-//! (hot SSA values live in the 12 callee-saved registers
-//! `s1`/`s2`–`s11`), but shaped by the RISC-V model: **no condition
-//! codes**. Comparisons that feed a branch fuse directly into
-//! compare-and-branch instructions (`beq`/`blt`/…); comparisons whose
-//! boolean is consumed as a value materialize it with
-//! `slt`/`sltu`/`xor`+`sltiu` sequences, and float comparisons write
-//! 0/1 through `feq`/`flt`/`fle`. Constants beyond 12 bits need
-//! `lui`/`addi` pairs (one bit tighter than SPARC's 13-bit fields), and
-//! loads/stores carry immediate-only offsets, so wide frame offsets
-//! route through an address add.
+//! The same promotion discipline as the SPARC back end (hot SSA values
+//! live in the 11 callee-saved registers `s1`–`s11`), shaped by the
+//! RISC-V model: **no condition codes**. Comparisons that feed a branch
+//! fuse directly into compare-and-branch instructions
+//! (`beq`/`blt`/…); comparisons whose boolean is consumed as a value
+//! materialize it with `slt`/`sltu`/`xor`+`sltiu` sequences, and float
+//! comparisons write 0/1 through `feq`/`flt`/`fle`. Constants beyond 12
+//! bits need `lui`/`addi` pairs (one bit tighter than SPARC's 13-bit
+//! fields), and loads/stores carry immediate-only offsets, so wide
+//! frame offsets route through an address add.
 //!
 //! Frame discipline mirrors the SPARC back end: `s0`/`fp` holds the
-//! caller's stack pointer; spill slots, phi staging slots, preallocated
-//! `alloca`s and the saved registers live at negative `fp` offsets;
-//! outgoing argument overflow lives at `[sp + 8j]`; incoming overflow
-//! at `[fp + 8*(i-8)]` (eight register arguments `a0`–`a7`).
+//! caller's stack pointer and the caller's `fp` is saved at `[fp - 8]`;
+//! arguments arrive in `a0`–`a7`, the rest at `[fp + 8*(i-8)]`;
+//! outgoing overflow is stored at `[sp + 8j]`.
 
-use crate::common::{
-    access_of, canonical_const, classify, fused_compares, inst_defining, intrinsic_target,
-    peephole, use_counts, PeepholeConfig, ValClass,
-};
-use llva_core::function::{BlockId, Function};
+use crate::common::ValClass;
+use crate::lower::{self, Callee, Lower, Policy, Target};
+use crate::peephole::{PeepholeConfig, RiscvPeep};
+use llva_core::function::BlockId;
 use llva_core::instruction::{InstId, Opcode};
 use llva_core::module::{FuncId, Module};
-use llva_core::types::{TypeId, TypeKind};
-use llva_core::value::{Constant, ValueId};
-use llva_machine::common::Sym;
+use llva_core::types::TypeId;
+use llva_core::value::ValueId;
+use llva_machine::common::{FpOp, Sym, Width};
 use llva_machine::riscv::{
     fits_imm12, AluOp, BrCond, FReg, FSetOp, Reg, RegOrImm, RiscvInst, A0, FP, SP, T0, T1, T2, X0,
 };
-use std::collections::{HashMap, HashSet};
+
+/// Compiles one function to RV64 code. The module must verify.
+pub fn compile_riscv(module: &Module, fid: FuncId) -> Vec<RiscvInst> {
+    compile_riscv_with(module, fid, &PeepholeConfig::on())
+}
+
+/// [`compile_riscv`] with an explicit peephole configuration (used by
+/// the conformance oracle's off-vs-on stages and perf-smoke deltas).
+pub fn compile_riscv_with(module: &Module, fid: FuncId, peep: &PeepholeConfig) -> Vec<RiscvInst> {
+    lower::compile::<Riscv>(module, fid, peep)
+}
 
 /// Address-materialization scratch `x28`/`t3`.
 const T3: Reg = Reg(28);
 /// Constant-materialization scratch `x29`/`t4` (internal to `mat_const`).
 const T4: Reg = Reg(29);
+const F0: FReg = FReg(0);
+const F1: FReg = FReg(1);
 
-/// Compiles one function to RV64 code. The module must verify.
-pub fn compile_riscv(module: &Module, fid: FuncId) -> Vec<RiscvInst> {
-    compile_riscv_with(module, fid, &PeepholeConfig::from_env())
+/// The RV64 description the lowering driver runs over.
+pub(crate) struct Riscv;
+
+type E<'a> = Lower<'a, Riscv>;
+
+fn alu(op: AluOp, rs1: Reg, rhs: RegOrImm, rd: Reg) -> RiscvInst {
+    RiscvInst::Alu {
+        op,
+        rs1,
+        rhs,
+        rd,
+        trapping: false,
+    }
 }
 
-/// [`compile_riscv`] with an explicit peephole configuration (used by
-/// the conformance oracle's off-vs-on stages and perf-smoke deltas).
-pub fn compile_riscv_with(
-    module: &Module,
-    fid: FuncId,
-    peep: &PeepholeConfig,
-) -> Vec<RiscvInst> {
-    let func = module.function(fid);
-    assert!(!func.is_declaration(), "cannot compile a declaration");
-    let mut cg = CodeGen::new(module, func);
-    cg.run();
-    peephole::run_riscv(cg.finish(), peep)
+fn imm(v: i64) -> RegOrImm {
+    RegOrImm::Imm(v as i16)
 }
 
-/// Allocatable callee-saved registers: `s1` (`x9`), `s2`–`s11`
-/// (`x18`–`x27`). `s0` is the frame pointer.
-const ALLOCATABLE: [Reg; 11] = [
-    Reg(9),
-    Reg(18),
-    Reg(19),
-    Reg(20),
-    Reg(21),
-    Reg(22),
-    Reg(23),
-    Reg(24),
-    Reg(25),
-    Reg(26),
-    Reg(27),
-];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Reg(Reg),
-    Slot(i32), // negative offset from fp
+fn reg(r: Reg) -> RegOrImm {
+    RegOrImm::Reg(r)
 }
 
-struct CodeGen<'a> {
-    module: &'a Module,
-    func: &'a Function,
-    code: Vec<RiscvInst>,
-    locs: HashMap<ValueId, Loc>,
-    staging: HashMap<InstId, i32>,
-    alloca_home: HashMap<InstId, i32>,
-    save_slots: HashMap<Reg, i32>,
-    frame_size: i32,
-    used_saved: Vec<Reg>,
-    fused: HashSet<InstId>,
-    block_starts: HashMap<BlockId, u32>,
-    fixups: Vec<(usize, BlockId)>,
-    bool_ty: TypeId,
-    out_area: i32,
+/// `rd := rs op v`, materialising a wide `v` into `tmp`.
+fn alu_imm(e: &mut E, op: AluOp, rs: Reg, v: i64, rd: Reg, tmp: Reg) {
+    if fits_imm12(v) {
+        e.push(alu(op, rs, imm(v), rd));
+    } else {
+        Riscv::mat_const(e, v as u64, tmp);
+        e.push(alu(op, rs, reg(tmp), rd));
+    }
 }
 
-impl<'a> CodeGen<'a> {
-    fn new(module: &'a Module, func: &'a Function) -> CodeGen<'a> {
-        let bool_ty = module.types().bool_or_sentinel();
-        let mut cg = CodeGen {
-            module,
-            func,
-            code: Vec::new(),
-            locs: HashMap::new(),
-            staging: HashMap::new(),
-            alloca_home: HashMap::new(),
-            save_slots: HashMap::new(),
-            // fp-8 = saved old fp; saved regs and slots grow below
-            frame_size: 8,
-            used_saved: Vec::new(),
-            fused: fused_compares(func),
-            block_starts: HashMap::new(),
-            fixups: Vec::new(),
-            bool_ty,
-            out_area: 0,
-        };
-        cg.assign_locations();
-        cg
+/// Materializes the low 32 bits of `w` into `dst` (`lui`+`addi`; the
+/// upper 32 bits of the register may hold sign-extension garbage —
+/// callers mask or shift it away).
+fn mat_low32(e: &mut E, w: u32, dst: Reg) {
+    let sv = i64::from(w as i32);
+    if fits_imm12(sv) {
+        e.push(alu(AluOp::Add, X0, imm(sv), dst));
+        return;
     }
-
-    fn new_slot(&mut self) -> i32 {
-        self.frame_size += 8;
-        -self.frame_size
+    let hi20 = (w.wrapping_add(0x800) >> 12) & 0xF_FFFF;
+    let lo12 = ((w & 0xFFF) as i32) << 20 >> 20; // sign-extend 12 bits
+    e.push(RiscvInst::Lui {
+        imm20: hi20,
+        rd: dst,
+    });
+    if lo12 != 0 {
+        e.push(alu(AluOp::Add, dst, imm(i64::from(lo12)), dst));
     }
+}
 
-    fn assign_locations(&mut self) {
-        let counts = use_counts(self.func);
-        // candidates: int-class args + int-class instruction results
-        let mut candidates: Vec<(usize, ValueId)> = Vec::new();
-        for &a in self.func.args() {
-            if classify(self.module, self.func.value_type(a, self.bool_ty)) == ValClass::Int {
-                candidates.push((counts.get(&a).copied().unwrap_or(0) + 1, a));
-            }
+/// A `(base, offset)` pair addressing `fp + off`. Loads and stores only
+/// take 12-bit immediate offsets, so wide offsets compute the address
+/// into `t3` first.
+fn fp_addr(e: &mut E, off: i32) -> (Reg, i16) {
+    if fits_imm12(i64::from(off)) {
+        (FP, off as i16)
+    } else {
+        Riscv::mat_const(e, off as i64 as u64, T3);
+        e.push(alu(AluOp::Add, FP, reg(T3), T3));
+        (T3, 0)
+    }
+}
+
+fn st(rs: Reg, rs1: Reg, off: i16) -> RiscvInst {
+    RiscvInst::St {
+        rs,
+        rs1,
+        off,
+        width: Width::B8,
+    }
+}
+
+fn ld(rd: Reg, rs1: Reg, off: i16) -> RiscvInst {
+    RiscvInst::Ld {
+        rd,
+        rs1,
+        off,
+        width: Width::B8,
+        signed: false,
+    }
+}
+
+/// Normalizes `r` to the canonical form of a narrow integer type with a
+/// shift pair.
+fn normalize(e: &mut E, r: Reg, ty: TypeId) {
+    if let Some(w) = e.types().int_bits(ty).filter(|&w| w < 64) {
+        let sh = i64::from(64 - w.max(8));
+        let down = if e.signed(ty) { AluOp::Sra } else { AluOp::Srl };
+        e.push(alu(AluOp::Sll, r, imm(sh), r));
+        e.push(alu(down, r, imm(sh), r));
+    }
+}
+
+/// Materializes a float comparison's 0/1 into `rd` (NaN operands make
+/// every `FSet` false; `Ne` is the complement, so unordered compares
+/// agree with the interpreter's semantics).
+fn float_setcc(e: &mut E, op: Opcode, a: ValueId, b: ValueId, rd: Reg) {
+    let is32 = e.class(e.vty(a)) == ValClass::F32;
+    e.fload(a, F0);
+    e.fload(b, F1);
+    let (fop, swap, negate) = match op {
+        Opcode::SetEq => (FSetOp::Feq, false, false),
+        Opcode::SetNe => (FSetOp::Feq, false, true),
+        Opcode::SetLt => (FSetOp::Flt, false, false),
+        Opcode::SetGt => (FSetOp::Flt, true, false),
+        Opcode::SetLe => (FSetOp::Fle, false, false),
+        Opcode::SetGe => (FSetOp::Fle, true, false),
+        _ => unreachable!("not a comparison"),
+    };
+    let (fs1, fs2) = if swap { (F1, F0) } else { (F0, F1) };
+    e.push(RiscvInst::FSet {
+        op: fop,
+        rd,
+        fs1,
+        fs2,
+        is32,
+    });
+    if negate {
+        e.push(alu(AluOp::Xor, rd, imm(1), rd));
+    }
+}
+
+/// Materializes an integer comparison's 0/1 into `rd` with
+/// `slt`/`sltu`/`xor`+`sltiu` sequences — no flags to read.
+fn int_setcc(e: &mut E, op: Opcode, a: ValueId, b: ValueId, rd: Reg) {
+    let slt = if e.signed(e.vty(a)) {
+        AluOp::Slt
+    } else {
+        AluOp::Sltu
+    };
+    let ra = e.read(a, T0);
+    let rb = e.read(b, T1);
+    match op {
+        Opcode::SetEq | Opcode::SetNe => {
+            e.push(alu(AluOp::Xor, ra, reg(rb), rd));
+            e.push(if op == Opcode::SetEq {
+                alu(AluOp::Sltu, rd, imm(1), rd) // seqz
+            } else {
+                alu(AluOp::Sltu, X0, reg(rd), rd) // snez
+            });
         }
-        for (_, inst_id) in self.func.inst_iter() {
-            if let Some(r) = self.func.inst_result(inst_id) {
-                if classify(self.module, self.func.value_type(r, self.bool_ty)) == ValClass::Int {
-                    candidates.push((counts.get(&r).copied().unwrap_or(0), r));
-                }
-            }
+        Opcode::SetLt => e.push(alu(slt, ra, reg(rb), rd)),
+        Opcode::SetGt => e.push(alu(slt, rb, reg(ra), rd)),
+        Opcode::SetGe | Opcode::SetLe => {
+            let (r1, r2) = if op == Opcode::SetGe {
+                (ra, rb)
+            } else {
+                (rb, ra)
+            };
+            e.push(alu(slt, r1, reg(r2), rd));
+            e.push(alu(AluOp::Xor, rd, imm(1), rd));
         }
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for ((_, v), &reg) in candidates.iter().zip(ALLOCATABLE.iter()) {
-            self.locs.insert(*v, Loc::Reg(reg));
-            if !self.used_saved.contains(&reg) {
-                self.used_saved.push(reg);
-                let slot = self.new_slot();
-                self.save_slots.insert(reg, slot);
-            }
-        }
-        // everything else gets a slot
-        for a in self.func.args().to_vec() {
-            if !self.locs.contains_key(&a) {
-                let s = self.new_slot();
-                self.locs.insert(a, Loc::Slot(s));
-            }
-        }
-        for (_, inst_id) in self.func.inst_iter().collect::<Vec<_>>() {
-            if let Some(r) = self.func.inst_result(inst_id) {
-                if !self.locs.contains_key(&r) {
-                    let s = self.new_slot();
-                    self.locs.insert(r, Loc::Slot(s));
-                }
-            }
-            let inst = self.func.inst(inst_id);
-            if inst.opcode() == Opcode::Phi {
-                let s = self.new_slot();
-                self.staging.insert(inst_id, s);
-            }
-            if inst.opcode() == Opcode::Alloca && inst.operands().is_empty() {
-                let pointee = self
-                    .module
-                    .types()
-                    .pointee(inst.result_type())
-                    .expect("alloca yields a pointer");
-                let size = self.module.target().size_of(self.module.types(), pointee);
-                let size = ((size + 7) & !7) as i32;
-                self.frame_size += size;
-                self.alloca_home.insert(inst_id, -self.frame_size);
-            }
-            if matches!(inst.opcode(), Opcode::Call | Opcode::Invoke) {
-                let extra = inst.operands().len().saturating_sub(1).saturating_sub(8) as i32;
-                self.out_area = self.out_area.max(extra * 8);
-            }
-        }
+        _ => unreachable!("not a comparison"),
     }
+}
 
-    fn finish(self) -> Vec<RiscvInst> {
-        self.code
+fn br(cond: BrCond, rs1: Reg, rs2: Reg) -> RiscvInst {
+    RiscvInst::Br {
+        cond,
+        rs1,
+        rs2,
+        target: 0,
     }
+}
 
-    fn vty(&self, v: ValueId) -> TypeId {
-        self.func.value_type(v, self.bool_ty)
+/// A fused comparison as a direct compare-and-branch to `target` — the
+/// RISC-V fusion of what SPARC expresses as `cmp` + `b<cond>`.
+fn compare_branch(e: &mut E, cmp: InstId, target: BlockId) {
+    let inst = e.func.inst(cmp);
+    let op = inst.opcode();
+    let (a, b) = (inst.operands()[0], inst.operands()[1]);
+    let ty = e.vty(a);
+    if e.class(ty) != ValClass::Int {
+        // float: materialize the 0/1 with feq/flt/fle, branch on it
+        float_setcc(e, op, a, b, T0);
+        e.branch(br(BrCond::Ne, T0, X0), target);
+        return;
     }
+    let ra = e.read(a, T0);
+    let rb = e.read(b, T1);
+    // greater-than forms swap the operands
+    let (cond, swap) = match (op, e.signed(ty)) {
+        (Opcode::SetEq, _) => (BrCond::Eq, false),
+        (Opcode::SetNe, _) => (BrCond::Ne, false),
+        (Opcode::SetLt, true) => (BrCond::Lt, false),
+        (Opcode::SetLt, false) => (BrCond::Ltu, false),
+        (Opcode::SetGt, true) => (BrCond::Lt, true),
+        (Opcode::SetGt, false) => (BrCond::Ltu, true),
+        (Opcode::SetLe, true) => (BrCond::Ge, true),
+        (Opcode::SetLe, false) => (BrCond::Geu, true),
+        (Opcode::SetGe, true) => (BrCond::Ge, false),
+        (Opcode::SetGe, false) => (BrCond::Geu, false),
+        _ => unreachable!("not a comparison"),
+    };
+    let (r1, r2) = if swap { (rb, ra) } else { (ra, rb) };
+    e.branch(br(cond, r1, r2), target);
+}
 
-    fn emit(&mut self, inst: RiscvInst) {
-        self.code.push(inst);
-    }
+impl Target for Riscv {
+    type Inst = RiscvInst;
+    type Reg = Reg;
+    type FReg = FReg;
+    type Lens = RiscvPeep;
 
-    fn mov(&mut self, dst: Reg, src: Reg) {
+    /// `s1` (`x9`), `s2`–`s11` (`x18`–`x27`); `s0` is the frame pointer.
+    const ALLOCATABLE: &'static [Reg] = &[
+        Reg(9),
+        Reg(18),
+        Reg(19),
+        Reg(20),
+        Reg(21),
+        Reg(22),
+        Reg(23),
+        Reg(24),
+        Reg(25),
+        Reg(26),
+        Reg(27),
+    ];
+    const POLICY: Policy = Policy {
+        promote: Some((0, 0)),
+        home_fused: true,
+        frame_base: 8,
+    };
+    const ARG_REGS: usize = 8;
+    const ZERO: Option<Reg> = Some(X0);
+    const SCRATCH: [Reg; 2] = [T0, T1];
+    const RESULT: Reg = T2;
+    const LOAD_RESULT: Reg = T2;
+    const CALLEE: Reg = T0;
+    const RET: Reg = A0;
+    const F: [FReg; 3] = [F0, F1, FReg(2)];
+    const FLOAT_RESULT_IN_GPR: bool = true;
+
+    fn mov(e: &mut E, dst: Reg, src: Reg) {
         if dst != src {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Add,
-                rs1: src,
-                rhs: RegOrImm::Imm(0),
-                rd: dst,
-                trapping: false,
-            });
+            e.push(alu(AluOp::Add, src, imm(0), dst));
         }
     }
 
-    /// Materializes the low 32 bits of `w` into `dst` (`lui`+`addi`;
-    /// the upper 32 bits of the register may hold sign-extension
-    /// garbage — callers mask or shift it away).
-    fn mat_low32(&mut self, w: u32, dst: Reg) {
-        let sv = w as i32 as i64;
-        if fits_imm12(sv) {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Add,
-                rs1: X0,
-                rhs: RegOrImm::Imm(sv as i16),
-                rd: dst,
-                trapping: false,
-            });
-            return;
-        }
-        let hi20 = (w.wrapping_add(0x800) >> 12) & 0xF_FFFF;
-        let lo12 = ((w & 0xFFF) as i32) << 20 >> 20; // sign-extend 12 bits
-        self.emit(RiscvInst::Lui { imm20: hi20, rd: dst });
-        if lo12 != 0 {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Add,
-                rs1: dst,
-                rhs: RegOrImm::Imm(lo12 as i16),
-                rd: dst,
-                trapping: false,
-            });
-        }
-    }
-
-    /// Materializes an integer constant into `dst` (clobbers `t4` for
-    /// full 64-bit constants).
-    fn mat_const(&mut self, bits: u64, dst: Reg) {
+    /// Clobbers `t4` for full 64-bit constants.
+    fn mat_const(e: &mut E, bits: u64, dst: Reg) {
         let v = bits as i64;
         if v == 0 {
-            self.mov(dst, X0);
+            Self::mov(e, dst, X0);
             return;
         }
         if fits_imm12(v) {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Add,
-                rs1: X0,
-                rhs: RegOrImm::Imm(v as i16),
-                rd: dst,
-                trapping: false,
-            });
+            e.push(alu(AluOp::Add, X0, imm(v), dst));
             return;
         }
-        if v == (v as i32) as i64 {
+        if v == i64::from(v as i32) {
             // standard li expansion; the +0x800 rounding keeps lo12 in
             // range except at the very top of the i32 range, which
             // falls through to the general path
             let hi20 = (((v + 0x800) >> 12) & 0xF_FFFF) as u32;
-            let base = i64::from((hi20 << 12) as i32);
-            let lo = v - base;
+            let lo = v - i64::from((hi20 << 12) as i32);
             if fits_imm12(lo) {
-                self.emit(RiscvInst::Lui { imm20: hi20, rd: dst });
+                e.push(RiscvInst::Lui {
+                    imm20: hi20,
+                    rd: dst,
+                });
                 if lo != 0 {
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Add,
-                        rs1: dst,
-                        rhs: RegOrImm::Imm(lo as i16),
-                        rd: dst,
-                        trapping: false,
-                    });
+                    e.push(alu(AluOp::Add, dst, imm(lo), dst));
                 }
                 return;
             }
         }
         // general 64-bit: high half shifted up, low half masked in
         let low32 = (bits & 0xFFFF_FFFF) as u32;
-        let high32 = (bits >> 32) as u32;
-        self.mat_low32(high32, dst);
-        self.emit(RiscvInst::Alu {
-            op: AluOp::Sll,
-            rs1: dst,
-            rhs: RegOrImm::Imm(32),
-            rd: dst,
-            trapping: false,
-        });
+        mat_low32(e, (bits >> 32) as u32, dst);
+        e.push(alu(AluOp::Sll, dst, imm(32), dst));
         if low32 != 0 {
-            self.mat_low32(low32, T4);
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Sll,
-                rs1: T4,
-                rhs: RegOrImm::Imm(32),
-                rd: T4,
-                trapping: false,
-            });
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Srl,
-                rs1: T4,
-                rhs: RegOrImm::Imm(32),
-                rd: T4,
-                trapping: false,
-            });
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Or,
-                rs1: dst,
-                rhs: RegOrImm::Reg(T4),
-                rd: dst,
-                trapping: false,
-            });
+            mat_low32(e, low32, T4);
+            e.push(alu(AluOp::Sll, T4, imm(32), T4));
+            e.push(alu(AluOp::Srl, T4, imm(32), T4));
+            e.push(alu(AluOp::Or, dst, reg(T4), dst));
         }
     }
 
-    /// A (base, offset) pair addressing `fp + off`. Loads and stores
-    /// only take 12-bit immediate offsets, so wide offsets compute the
-    /// address into `t3` first.
-    fn fp_addr(&mut self, off: i32) -> (Reg, i16) {
-        if fits_imm12(i64::from(off)) {
-            (FP, off as i16)
-        } else {
-            self.mat_const(off as i64 as u64, T3);
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Add,
-                rs1: FP,
-                rhs: RegOrImm::Reg(T3),
-                rd: T3,
-                trapping: false,
-            });
-            (T3, 0)
-        }
+    fn load_to(e: &mut E, v: ValueId, dst: Reg) {
+        let r = e.read(v, T0);
+        Self::mov(e, dst, r);
     }
 
-    /// Ensures `v` is in a register, loading/materializing into
-    /// `scratch` when needed. Returns the register actually holding it.
-    fn reg_of(&mut self, v: ValueId, scratch: Reg) -> Reg {
-        if let Some(c) = self.func.value_as_const(v) {
-            match c {
-                Constant::GlobalAddr { global, .. } => {
-                    self.emit(RiscvInst::MovSym {
-                        rd: scratch,
-                        sym: Sym::Global(global.index() as u32),
-                    });
-                }
-                Constant::FunctionAddr { func, .. } => {
-                    self.emit(RiscvInst::MovSym {
-                        rd: scratch,
-                        sym: Sym::Function(func.index() as u32),
-                    });
-                }
-                _ => {
-                    let bits = canonical_const(self.module, c);
-                    if bits == 0 {
-                        return X0;
-                    }
-                    self.mat_const(bits, scratch);
-                }
-            }
-            return scratch;
-        }
-        match self.locs[&v] {
-            Loc::Reg(r) => r,
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_addr(off);
-                self.emit(RiscvInst::Ld {
-                    rd: scratch,
-                    rs1: base,
-                    off: o,
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                scratch
-            }
-        }
+    fn load_slot(e: &mut E, r: Reg, off: i32) {
+        let (base, o) = fp_addr(e, off);
+        e.push(ld(r, base, o));
     }
 
-    /// The second-operand form: a 12-bit immediate when possible.
-    fn rhs_of(&mut self, v: ValueId, scratch: Reg) -> RegOrImm {
-        if let Some(c) = self.func.value_as_const(v) {
-            if !matches!(
-                c,
-                Constant::GlobalAddr { .. } | Constant::FunctionAddr { .. }
-            ) {
-                let bits = canonical_const(self.module, c) as i64;
-                if fits_imm12(bits) {
-                    return RegOrImm::Imm(bits as i16);
-                }
-            }
-        }
-        RegOrImm::Reg(self.reg_of(v, scratch))
+    fn store_slot(e: &mut E, r: Reg, off: i32) {
+        let (base, o) = fp_addr(e, off);
+        e.push(st(r, base, o));
     }
 
-    /// Where to compute a result: directly into its home register, or
-    /// into `scratch` followed by a store.
-    fn dst_of(&mut self, inst: InstId, scratch: Reg) -> (Reg, Option<i32>) {
-        let v = self.func.inst_result(inst).expect("has result");
-        match self.locs[&v] {
-            Loc::Reg(r) => (r, None),
-            Loc::Slot(off) => (scratch, Some(off)),
-        }
-    }
-
-    fn finish_dst(&mut self, reg: Reg, spill: Option<i32>) {
-        if let Some(off) = spill {
-            let (base, o) = self.fp_addr(off);
-            self.emit(RiscvInst::St {
-                rs: reg,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
-        }
-    }
-
-    /// Loads a float value into `f`.
-    fn freg_of(&mut self, v: ValueId, f: FReg) {
-        if let Some(c) = self.func.value_as_const(v) {
-            let bits = canonical_const(self.module, c);
-            self.mat_const(bits, T0);
-            self.emit(RiscvInst::MovFG(f, T0));
-            return;
-        }
-        match self.locs[&v] {
-            Loc::Reg(r) => self.emit(RiscvInst::MovFG(f, r)),
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_addr(off);
-                self.emit(RiscvInst::LdF {
-                    fd: f,
-                    rs1: base,
-                    off: o,
-                    is32: false,
-                });
-            }
-        }
-    }
-
-    fn fstore_result(&mut self, inst: InstId, f: FReg) {
-        let v = self.func.inst_result(inst).expect("has result");
-        match self.locs[&v] {
-            Loc::Reg(r) => self.emit(RiscvInst::MovGF(r, f)),
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_addr(off);
-                self.emit(RiscvInst::StF {
-                    fs: f,
-                    rs1: base,
-                    off: o,
-                    is32: false,
-                });
-            }
-        }
-    }
-
-    /// Normalizes `r` to the canonical form of a narrow integer type
-    /// using a shift pair.
-    fn normalize(&mut self, r: Reg, ty: TypeId) {
-        let tt = self.module.types();
-        if let Some(w) = tt.int_bits(ty) {
-            if w < 64 {
-                let sh = (64 - w.max(8)) as i16;
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Sll,
-                    rs1: r,
-                    rhs: RegOrImm::Imm(sh),
-                    rd: r,
-                    trapping: false,
-                });
-                self.emit(RiscvInst::Alu {
-                    op: if tt.is_signed_integer(ty) {
-                        AluOp::Sra
-                    } else {
-                        AluOp::Srl
-                    },
-                    rs1: r,
-                    rhs: RegOrImm::Imm(sh),
-                    rd: r,
-                    trapping: false,
-                });
-            }
-        }
-    }
-
-    fn jump(&mut self, target: BlockId) {
-        self.fixups.push((self.code.len(), target));
-        self.emit(RiscvInst::J { target: 0 });
-    }
-
-    /// Compare-and-branch to `target` — the RISC-V fusion of what SPARC
-    /// expresses as `cmp` + `b<cond>`. `rs1`/`rs2` are already ordered
-    /// for the branch opcode.
-    fn jcc(&mut self, cond: BrCond, rs1: Reg, rs2: Reg, target: BlockId) {
-        self.fixups.push((self.code.len(), target));
-        self.emit(RiscvInst::Br {
-            cond,
+    fn fload_slot(e: &mut E, f: FReg, off: i32) {
+        let (rs1, off) = fp_addr(e, off);
+        e.push(RiscvInst::LdF {
+            fd: f,
             rs1,
-            rs2,
-            target: 0,
+            off,
+            is32: false,
         });
     }
 
-    /// Maps a comparison opcode to a branch condition and operand
-    /// order: `(cond, swap)` — `swap` means branch on `(b, a)`.
-    fn br_cond_for(&self, op: Opcode, ty: TypeId) -> (BrCond, bool) {
-        let tt = self.module.types();
-        let signed = tt.is_signed_integer(ty) || tt.is_float(ty);
-        match (op, signed) {
-            (Opcode::SetEq, _) => (BrCond::Eq, false),
-            (Opcode::SetNe, _) => (BrCond::Ne, false),
-            (Opcode::SetLt, true) => (BrCond::Lt, false),
-            (Opcode::SetLt, false) => (BrCond::Ltu, false),
-            (Opcode::SetGt, true) => (BrCond::Lt, true),
-            (Opcode::SetGt, false) => (BrCond::Ltu, true),
-            (Opcode::SetLe, true) => (BrCond::Ge, true),
-            (Opcode::SetLe, false) => (BrCond::Geu, true),
-            (Opcode::SetGe, true) => (BrCond::Ge, false),
-            (Opcode::SetGe, false) => (BrCond::Geu, false),
-            _ => unreachable!("not a comparison"),
-        }
+    fn fstore_slot(e: &mut E, f: FReg, off: i32) {
+        let (rs1, off) = fp_addr(e, off);
+        e.push(RiscvInst::StF {
+            fs: f,
+            rs1,
+            off,
+            is32: false,
+        });
     }
 
-    /// Emits a fused comparison as a direct branch to `target`.
-    fn emit_compare_branch(&mut self, def: InstId, target: BlockId) {
-        let inst = self.func.inst(def);
-        let op = inst.opcode();
-        let (a, b) = (inst.operands()[0], inst.operands()[1]);
-        let ty = self.vty(a);
-        match classify(self.module, ty) {
-            ValClass::Int => {
-                let ra = self.reg_of(a, T0);
-                let rb = self.reg_of(b, T1);
-                let (cond, swap) = self.br_cond_for(op, ty);
-                let (r1, r2) = if swap { (rb, ra) } else { (ra, rb) };
-                self.jcc(cond, r1, r2, target);
-            }
-            _ => {
-                // float: materialize the 0/1 with feq/flt/fle, branch on it
-                self.emit_float_setcc(op, a, b, T0);
-                self.jcc(BrCond::Ne, T0, X0, target);
-            }
-        }
+    fn mov_sym(rd: Reg, sym: Sym) -> RiscvInst {
+        RiscvInst::MovSym { rd, sym }
     }
 
-    /// Materializes a float comparison's 0/1 into `rd` (NaN operands
-    /// make every `FSet` false; `Ne` is the complement, so unordered
-    /// compares agree with the interpreter's semantics).
-    fn emit_float_setcc(&mut self, op: Opcode, a: ValueId, b: ValueId, rd: Reg) {
-        let is32 = classify(self.module, self.vty(a)) == ValClass::F32;
-        self.freg_of(a, FReg(0));
-        self.freg_of(b, FReg(1));
-        let (fop, swap, negate) = match op {
-            Opcode::SetEq => (FSetOp::Feq, false, false),
-            Opcode::SetNe => (FSetOp::Feq, false, true),
-            Opcode::SetLt => (FSetOp::Flt, false, false),
-            Opcode::SetGt => (FSetOp::Flt, true, false),
-            Opcode::SetLe => (FSetOp::Fle, false, false),
-            Opcode::SetGe => (FSetOp::Fle, true, false),
-            _ => unreachable!("not a comparison"),
-        };
-        let (f1, f2) = if swap {
-            (FReg(1), FReg(0))
-        } else {
-            (FReg(0), FReg(1))
-        };
-        self.emit(RiscvInst::FSet {
-            op: fop,
+    fn mov_fg(f: FReg, r: Reg) -> RiscvInst {
+        RiscvInst::MovFG(f, r)
+    }
+
+    fn mov_gf(r: Reg, f: FReg) -> RiscvInst {
+        RiscvInst::MovGF(r, f)
+    }
+
+    fn load(rd: Reg, rs1: Reg, width: Width, signed: bool) -> RiscvInst {
+        RiscvInst::Ld {
             rd,
-            fs1: f1,
-            fs2: f2,
+            rs1,
+            off: 0,
+            width,
+            signed,
+        }
+    }
+
+    fn store(rs: Reg, rs1: Reg, width: Width) -> RiscvInst {
+        RiscvInst::St {
+            rs,
+            rs1,
+            off: 0,
+            width,
+        }
+    }
+
+    fn fload(fd: FReg, rs1: Reg, is32: bool) -> RiscvInst {
+        RiscvInst::LdF {
+            fd,
+            rs1,
+            off: 0,
             is32,
-        });
-        if negate {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Xor,
-                rs1: rd,
-                rhs: RegOrImm::Imm(1),
-                rd,
-                trapping: false,
-            });
         }
     }
 
-    /// Materializes an integer comparison's 0/1 into `rd` with
-    /// `slt`/`sltu`/`xor`+`sltiu` sequences — no flags to read.
-    fn emit_int_setcc(&mut self, op: Opcode, a: ValueId, b: ValueId, rd: Reg) {
-        let ty = self.vty(a);
-        let signed = self.module.types().is_signed_integer(ty);
-        let slt = if signed { AluOp::Slt } else { AluOp::Sltu };
-        let ra = self.reg_of(a, T0);
-        let rb = self.reg_of(b, T1);
-        match op {
-            Opcode::SetEq | Opcode::SetNe => {
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Xor,
-                    rs1: ra,
-                    rhs: RegOrImm::Reg(rb),
-                    rd,
-                    trapping: false,
-                });
-                if op == Opcode::SetEq {
-                    // seqz: rd = (rd unsigned< 1)
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Sltu,
-                        rs1: rd,
-                        rhs: RegOrImm::Imm(1),
-                        rd,
-                        trapping: false,
-                    });
-                } else {
-                    // snez: rd = (0 unsigned< rd)
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Sltu,
-                        rs1: X0,
-                        rhs: RegOrImm::Reg(rd),
-                        rd,
-                        trapping: false,
-                    });
-                }
-            }
-            Opcode::SetLt => self.emit(RiscvInst::Alu {
-                op: slt,
-                rs1: ra,
-                rhs: RegOrImm::Reg(rb),
-                rd,
-                trapping: false,
-            }),
-            Opcode::SetGt => self.emit(RiscvInst::Alu {
-                op: slt,
-                rs1: rb,
-                rhs: RegOrImm::Reg(ra),
-                rd,
-                trapping: false,
-            }),
-            Opcode::SetGe | Opcode::SetLe => {
-                let (r1, r2) = if op == Opcode::SetGe { (ra, rb) } else { (rb, ra) };
-                self.emit(RiscvInst::Alu {
-                    op: slt,
-                    rs1: r1,
-                    rhs: RegOrImm::Reg(r2),
-                    rd,
-                    trapping: false,
-                });
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Xor,
-                    rs1: rd,
-                    rhs: RegOrImm::Imm(1),
-                    rd,
-                    trapping: false,
-                });
-            }
-            _ => unreachable!("not a comparison"),
-        }
+    fn jump() -> RiscvInst {
+        RiscvInst::J { target: 0 }
     }
 
-    fn run(&mut self) {
-        self.emit_prologue();
-        let order = self.func.block_order().to_vec();
-        for (bi, &block) in order.iter().enumerate() {
-            self.block_starts.insert(block, self.code.len() as u32);
-            let next_block = order.get(bi + 1).copied();
-            let insts = self.func.block(block).insts().to_vec();
-            for &inst_id in &insts {
-                self.emit_inst(block, inst_id, next_block);
-            }
-        }
-        for (idx, block) in std::mem::take(&mut self.fixups) {
-            let target = self.block_starts[&block];
-            match &mut self.code[idx] {
-                RiscvInst::J { target: t } | RiscvInst::Br { target: t, .. } => *t = target,
-                RiscvInst::Call { unwind, .. } | RiscvInst::CallIndirect { unwind, .. } => {
-                    *unwind = Some(target);
-                }
-                other => unreachable!("fixup on {other:?}"),
-            }
-        }
+    fn unwind() -> RiscvInst {
+        RiscvInst::Unwind
     }
 
-    fn emit_prologue(&mut self) {
-        let frame = (self.frame_size + self.out_area + 15) & !15;
-        // t0 = old sp
-        self.mov(T0, SP);
-        if fits_imm12(i64::from(frame)) {
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Sub,
-                rs1: SP,
-                rhs: RegOrImm::Imm(frame as i16),
-                rd: SP,
-                trapping: false,
-            });
-        } else {
-            self.mat_const(frame as u64, T1);
-            self.emit(RiscvInst::Alu {
-                op: AluOp::Sub,
-                rs1: SP,
-                rhs: RegOrImm::Reg(T1),
-                rd: SP,
-                trapping: false,
-            });
-        }
-        // save old fp at [t0 - 8]; fp = old sp
-        self.emit(RiscvInst::St {
-            rs: FP,
-            rs1: T0,
-            off: -8,
-            width: llva_machine::Width::B8,
-        });
-        self.mov(FP, T0);
-        // save used callee-saved registers
-        let saves: Vec<(Reg, i32)> = self
-            .used_saved
-            .iter()
-            .map(|r| (*r, self.save_slots[r]))
-            .collect();
-        for (r, off) in saves {
-            let (base, o) = self.fp_addr(off);
-            self.emit(RiscvInst::St {
-                rs: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
+    fn prologue(e: &mut E) {
+        let frame = (e.frame.size + e.frame.out_area + 15) & !15;
+        // t0 = old sp; the caller's fp is saved at [t0 - 8]
+        Self::mov(e, T0, SP);
+        alu_imm(e, AluOp::Sub, SP, i64::from(frame), SP, T1);
+        e.push(st(FP, T0, -8));
+        Self::mov(e, FP, T0);
+        for (r, off) in e.frame.saves.clone() {
+            Self::store_slot(e, r, off);
         }
         // move incoming arguments to their homes
-        let args = self.func.args().to_vec();
+        let func = e.func;
+        for (i, &a) in func.args().iter().enumerate() {
+            let src = if i < Self::ARG_REGS {
+                Reg(10 + i as u8)
+            } else {
+                e.push(ld(T0, FP, (8 * (i - Self::ARG_REGS)) as i16));
+                T0
+            };
+            match e.frame.loc(a) {
+                lower::Loc::Reg(r) => Self::mov(e, r, src),
+                lower::Loc::Slot(off) => Self::store_slot(e, src, off),
+            }
+        }
+    }
+
+    fn epilogue(e: &mut E) {
+        for (r, off) in e.frame.saves.clone() {
+            Self::load_slot(e, r, off);
+        }
+        e.push(ld(T0, FP, -8));
+        Self::mov(e, SP, FP);
+        Self::mov(e, FP, T0);
+        e.push(RiscvInst::Ret);
+    }
+
+    fn frame_addr(e: &mut E, rd: Reg, off: i32) {
+        alu_imm(e, AluOp::Add, FP, i64::from(off), rd, T3);
+    }
+
+    fn stack_alloc(e: &mut E, rd: Reg, count: ValueId, size: u64) {
+        let rc = e.read(count, T0);
+        Self::mat_const(e, size, T1);
+        e.push(alu(AluOp::Mul, rc, reg(T1), T0));
+        e.push(alu(AluOp::Sub, SP, reg(T0), SP));
+        Self::mov(e, rd, SP);
+    }
+
+    fn pass_args(e: &mut E, args: &[ValueId]) {
         for (i, &a) in args.iter().enumerate() {
-            if i < 8 {
-                let src = Reg(10 + i as u8);
-                match self.locs[&a] {
-                    Loc::Reg(r) => self.mov(r, src),
-                    Loc::Slot(off) => {
-                        let (base, o) = self.fp_addr(off);
-                        self.emit(RiscvInst::St {
-                            rs: src,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
+            if i < Self::ARG_REGS {
+                let dst = Reg(10 + i as u8);
+                if e.class(e.vty(a)) == ValClass::Int {
+                    let r = e.read(a, dst);
+                    Self::mov(e, dst, r);
+                } else {
+                    e.fload(a, F0);
+                    e.push(RiscvInst::MovGF(dst, F0));
                 }
             } else {
-                // incoming overflow at [fp + 8*(i-8)]
-                let off = 8 * (i as i32 - 8);
-                self.emit(RiscvInst::Ld {
-                    rd: T0,
-                    rs1: FP,
-                    off: off as i16,
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                match self.locs[&a] {
-                    Loc::Reg(r) => self.mov(r, T0),
-                    Loc::Slot(soff) => {
-                        let (base, o) = self.fp_addr(soff);
-                        self.emit(RiscvInst::St {
-                            rs: T0,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
-                }
+                let r = e.read(a, T0);
+                e.push(st(r, SP, (8 * (i - Self::ARG_REGS)) as i16));
             }
         }
     }
 
-    fn emit_epilogue(&mut self) {
-        let saves: Vec<(Reg, i32)> = self
-            .used_saved
-            .iter()
-            .map(|r| (*r, self.save_slots[r]))
-            .collect();
-        for (r, off) in saves {
-            let (base, o) = self.fp_addr(off);
-            self.emit(RiscvInst::Ld {
-                rd: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-                signed: false,
-            });
+    fn call(callee: Callee<Reg>, nargs: usize, unwind: Option<u32>) -> RiscvInst {
+        match callee {
+            Callee::Intrinsic(which) => RiscvInst::CallIntrinsic {
+                which,
+                nargs: nargs.min(Self::ARG_REGS) as u8,
+            },
+            Callee::Direct(func) => RiscvInst::Call { func, unwind },
+            Callee::Indirect(rs) => RiscvInst::CallIndirect { rs, unwind },
         }
-        // old fp at [fp - 8]; sp = fp
-        self.emit(RiscvInst::Ld {
-            rd: T0,
-            rs1: FP,
-            off: -8,
-            width: llva_machine::Width::B8,
-            signed: false,
+    }
+
+    fn int_binary(e: &mut E, id: InstId, op: Opcode, ops: &[ValueId], ty: TypeId, trapping: bool) {
+        let signed = e.signed(ty);
+        let alu_op = match (op, signed) {
+            (Opcode::Add, _) => AluOp::Add,
+            (Opcode::Sub, _) => AluOp::Sub,
+            (Opcode::Mul, _) => AluOp::Mul,
+            (Opcode::Div, true) => AluOp::Sdiv,
+            (Opcode::Div, false) => AluOp::Udiv,
+            (Opcode::Rem, true) => AluOp::Srem,
+            (Opcode::Rem, false) => AluOp::Urem,
+            (Opcode::And, _) => AluOp::And,
+            (Opcode::Or, _) => AluOp::Or,
+            (Opcode::Xor, _) => AluOp::Xor,
+            (Opcode::Shl, _) => AluOp::Sll,
+            (Opcode::Shr, true) => AluOp::Sra,
+            (Opcode::Shr, false) => AluOp::Srl,
+            _ => unreachable!("not an integer binary operator"),
+        };
+        let ra = e.read(ops[0], T0);
+        let rb = match e.imm(ops[1]).filter(|&bits| fits_imm12(bits)) {
+            Some(bits) => imm(bits),
+            None => reg(e.read(ops[1], T1)),
+        };
+        let rd = e.dst(id, T2);
+        e.push(RiscvInst::Alu {
+            op: alu_op,
+            rs1: ra,
+            rhs: rb,
+            rd,
+            trapping,
         });
-        self.mov(SP, FP);
-        self.mov(FP, T0);
-        self.emit(RiscvInst::Ret);
-    }
-
-    fn emit_phi_copies(&mut self, block: BlockId, succ: BlockId) {
-        let phis: Vec<InstId> = self
-            .func
-            .block(succ)
-            .insts()
-            .iter()
-            .copied()
-            .filter(|&i| self.func.inst(i).opcode() == Opcode::Phi)
-            .collect();
-        for phi in phis {
-            let Some(incoming) = self.func.phi_incoming(phi, block) else {
-                continue;
-            };
-            let off = self.staging[&phi];
-            let r = self.reg_of(incoming, T0);
-            let (base, o) = self.fp_addr(off);
-            self.emit(RiscvInst::St {
-                rs: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
+        if matches!(
+            op,
+            Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Shl | Opcode::Div | Opcode::Rem
+        ) {
+            normalize(e, rd, ty);
         }
+        e.finish(id, rd);
     }
 
-    fn emit_all_phi_copies(&mut self, block: BlockId) {
-        for succ in self.func.successors(block) {
-            self.emit_phi_copies(block, succ);
+    fn falu(e: &mut E, op: FpOp, fd: FReg, fs1: FReg, fs2: FReg, is32: bool) {
+        e.push(RiscvInst::FAlu {
+            op,
+            fs1,
+            fs2,
+            fd,
+            is32,
+        });
+    }
+
+    fn cvt_if(fd: FReg, rs: Reg, to32: bool, signed: bool) -> RiscvInst {
+        RiscvInst::CvtIF {
+            fd,
+            rs,
+            to32,
+            signed,
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn emit_inst(&mut self, block: BlockId, inst_id: InstId, next_block: Option<BlockId>) {
-        let inst = self.func.inst(inst_id).clone();
-        let op = inst.opcode();
-        let ops = inst.operands().to_vec();
-        let blocks = inst.block_operands().to_vec();
-        let tt = self.module.types();
-
-        if self.fused.contains(&inst_id) {
-            return;
-        }
-
-        match op {
-            _ if op.is_binary() => {
-                let ty = inst.result_type();
-                match classify(self.module, ty) {
-                    ValClass::Int => {
-                        let signed = tt.is_signed_integer(ty);
-                        let alu = match op {
-                            Opcode::Add => AluOp::Add,
-                            Opcode::Sub => AluOp::Sub,
-                            Opcode::Mul => AluOp::Mul,
-                            Opcode::Div => {
-                                if signed {
-                                    AluOp::Sdiv
-                                } else {
-                                    AluOp::Udiv
-                                }
-                            }
-                            Opcode::Rem => {
-                                if signed {
-                                    AluOp::Srem
-                                } else {
-                                    AluOp::Urem
-                                }
-                            }
-                            Opcode::And => AluOp::And,
-                            Opcode::Or => AluOp::Or,
-                            Opcode::Xor => AluOp::Xor,
-                            Opcode::Shl => AluOp::Sll,
-                            Opcode::Shr => {
-                                if signed {
-                                    AluOp::Sra
-                                } else {
-                                    AluOp::Srl
-                                }
-                            }
-                            _ => unreachable!(),
-                        };
-                        let ra = self.reg_of(ops[0], T0);
-                        let rb = self.rhs_of(ops[1], T1);
-                        let (rd, spill) = self.dst_of(inst_id, T2);
-                        self.emit(RiscvInst::Alu {
-                            op: alu,
-                            rs1: ra,
-                            rhs: rb,
-                            rd,
-                            trapping: inst.exceptions_enabled(),
-                        });
-                        if matches!(
-                            op,
-                            Opcode::Add
-                                | Opcode::Sub
-                                | Opcode::Mul
-                                | Opcode::Shl
-                                | Opcode::Div
-                                | Opcode::Rem
-                        ) {
-                            self.normalize(rd, ty);
-                        }
-                        self.finish_dst(rd, spill);
-                    }
-                    class => {
-                        let is32 = class == ValClass::F32;
-                        self.freg_of(ops[0], FReg(0));
-                        self.freg_of(ops[1], FReg(1));
-                        let fop = match op {
-                            Opcode::Add => llva_machine::riscv::FpOp::Add,
-                            Opcode::Sub => llva_machine::riscv::FpOp::Sub,
-                            Opcode::Mul => llva_machine::riscv::FpOp::Mul,
-                            Opcode::Div | Opcode::Rem => llva_machine::riscv::FpOp::Div,
-                            _ => panic!("bitwise op on float"),
-                        };
-                        if op == Opcode::Rem {
-                            self.emit(RiscvInst::FAlu {
-                                op: llva_machine::riscv::FpOp::Div,
-                                fs1: FReg(0),
-                                fs2: FReg(1),
-                                fd: FReg(2),
-                                is32,
-                            });
-                            self.emit(RiscvInst::CvtFI {
-                                rd: T0,
-                                fs: FReg(2),
-                                from32: is32,
-                                signed: true,
-                            });
-                            self.emit(RiscvInst::CvtIF {
-                                fd: FReg(2),
-                                rs: T0,
-                                to32: is32,
-                                signed: true,
-                            });
-                            self.emit(RiscvInst::FAlu {
-                                op: llva_machine::riscv::FpOp::Mul,
-                                fs1: FReg(2),
-                                fs2: FReg(1),
-                                fd: FReg(2),
-                                is32,
-                            });
-                            self.emit(RiscvInst::FAlu {
-                                op: llva_machine::riscv::FpOp::Sub,
-                                fs1: FReg(0),
-                                fs2: FReg(2),
-                                fd: FReg(0),
-                                is32,
-                            });
-                        } else {
-                            self.emit(RiscvInst::FAlu {
-                                op: fop,
-                                fs1: FReg(0),
-                                fs2: FReg(1),
-                                fd: FReg(0),
-                                is32,
-                            });
-                        }
-                        self.fstore_result(inst_id, FReg(0));
-                    }
-                }
-            }
-            _ if op.is_comparison() => {
-                let (rd, spill) = self.dst_of(inst_id, T2);
-                match classify(self.module, self.vty(ops[0])) {
-                    ValClass::Int => self.emit_int_setcc(op, ops[0], ops[1], rd),
-                    _ => self.emit_float_setcc(op, ops[0], ops[1], rd),
-                }
-                self.finish_dst(rd, spill);
-            }
-            Opcode::Ret => {
-                if let Some(&v) = ops.first() {
-                    match classify(self.module, self.vty(v)) {
-                        ValClass::Int => {
-                            let r = self.reg_of(v, T0);
-                            self.mov(A0, r);
-                        }
-                        _ => {
-                            // float returns as raw bits in a0
-                            self.freg_of(v, FReg(0));
-                            self.emit(RiscvInst::MovGF(A0, FReg(0)));
-                        }
-                    }
-                }
-                self.emit_epilogue();
-            }
-            Opcode::Br => {
-                self.emit_all_phi_copies(block);
-                if ops.is_empty() {
-                    if next_block != Some(blocks[0]) {
-                        self.jump(blocks[0]);
-                    }
-                } else {
-                    let cond_val = ops[0];
-                    match inst_defining(self.func, cond_val) {
-                        Some(def) if self.fused.contains(&def) => {
-                            self.emit_compare_branch(def, blocks[0]);
-                        }
-                        _ => {
-                            let r = self.reg_of(cond_val, T0);
-                            self.jcc(BrCond::Ne, r, X0, blocks[0]);
-                        }
-                    }
-                    if next_block != Some(blocks[1]) {
-                        self.jump(blocks[1]);
-                    }
-                }
-            }
-            Opcode::Mbr => {
-                self.emit_all_phi_copies(block);
-                let r = self.reg_of(ops[0], T0);
-                for (i, &case) in ops[1..].iter().enumerate() {
-                    let rc = self.reg_of(case, T1);
-                    self.jcc(BrCond::Eq, r, rc, blocks[1 + i]);
-                }
-                if next_block != Some(blocks[0]) {
-                    self.jump(blocks[0]);
-                }
-            }
-            Opcode::Call | Opcode::Invoke => {
-                self.emit_call(block, inst_id, op, &ops, &blocks);
-            }
-            Opcode::Unwind => self.emit(RiscvInst::Unwind),
-            Opcode::Load => {
-                let pointee = tt.pointee(self.vty(ops[0])).expect("pointer");
-                let (width, signed) = access_of(self.module, pointee);
-                let rp = self.reg_of(ops[0], T0);
-                match classify(self.module, pointee) {
-                    ValClass::Int => {
-                        let (rd, spill) = self.dst_of(inst_id, T2);
-                        self.emit(RiscvInst::Ld {
-                            rd,
-                            rs1: rp,
-                            off: 0,
-                            width,
-                            signed,
-                        });
-                        self.finish_dst(rd, spill);
-                    }
-                    class => {
-                        self.emit(RiscvInst::LdF {
-                            fd: FReg(0),
-                            rs1: rp,
-                            off: 0,
-                            is32: class == ValClass::F32,
-                        });
-                        self.fstore_result(inst_id, FReg(0));
-                    }
-                }
-            }
-            Opcode::Store => {
-                let pointee = tt.pointee(self.vty(ops[1])).expect("pointer");
-                let (width, _) = access_of(self.module, pointee);
-                let rv = self.reg_of(ops[0], T0);
-                let rp = self.reg_of(ops[1], T1);
-                self.emit(RiscvInst::St {
-                    rs: rv,
-                    rs1: rp,
-                    off: 0,
-                    width,
-                });
-            }
-            Opcode::GetElementPtr => self.emit_gep(inst_id, &ops),
-            Opcode::Alloca => {
-                let (rd, spill) = self.dst_of(inst_id, T2);
-                if ops.is_empty() {
-                    let off = self.alloca_home[&inst_id];
-                    if fits_imm12(i64::from(off)) {
-                        self.emit(RiscvInst::Alu {
-                            op: AluOp::Add,
-                            rs1: FP,
-                            rhs: RegOrImm::Imm(off as i16),
-                            rd,
-                            trapping: false,
-                        });
-                    } else {
-                        self.mat_const(off as i64 as u64, T3);
-                        self.emit(RiscvInst::Alu {
-                            op: AluOp::Add,
-                            rs1: FP,
-                            rhs: RegOrImm::Reg(T3),
-                            rd,
-                            trapping: false,
-                        });
-                    }
-                } else {
-                    let pointee = tt.pointee(inst.result_type()).expect("pointer");
-                    let size = self.module.target().size_of(tt, pointee).max(1);
-                    let size = (size + 7) & !7;
-                    let rc = self.reg_of(ops[0], T0);
-                    self.mat_const(size, T1);
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Mul,
-                        rs1: rc,
-                        rhs: RegOrImm::Reg(T1),
-                        rd: T0,
-                        trapping: false,
-                    });
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Sub,
-                        rs1: SP,
-                        rhs: RegOrImm::Reg(T0),
-                        rd: SP,
-                        trapping: false,
-                    });
-                    self.mov(rd, SP);
-                }
-                self.finish_dst(rd, spill);
-            }
-            Opcode::Cast => self.emit_cast(inst_id, ops[0], inst.result_type()),
-            Opcode::Phi => {
-                let off = self.staging[&inst_id];
-                let (rd, spill) = self.dst_of(inst_id, T2);
-                let (base, o) = self.fp_addr(off);
-                self.emit(RiscvInst::Ld {
-                    rd,
-                    rs1: base,
-                    off: o,
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                self.finish_dst(rd, spill);
-            }
-            _ => unreachable!("all opcodes covered"),
+    fn cvt_fi(rd: Reg, fs: FReg, from32: bool, signed: bool) -> RiscvInst {
+        RiscvInst::CvtFI {
+            rd,
+            fs,
+            from32,
+            signed,
         }
     }
 
-    fn emit_call(
-        &mut self,
-        block: BlockId,
-        inst_id: InstId,
-        op: Opcode,
-        ops: &[ValueId],
-        blocks: &[BlockId],
-    ) {
-        let args = &ops[1..];
-        for (i, &a) in args.iter().take(8).enumerate() {
-            let dst = Reg(10 + i as u8);
-            match classify(self.module, self.vty(a)) {
-                ValClass::Int => {
-                    let r = self.reg_of(a, dst);
-                    self.mov(dst, r);
-                }
-                _ => {
-                    self.freg_of(a, FReg(0));
-                    self.emit(RiscvInst::MovGF(dst, FReg(0)));
-                }
-            }
-        }
-        for (j, &a) in args.iter().skip(8).enumerate() {
-            let r = self.reg_of(a, T0);
-            self.emit(RiscvInst::St {
-                rs: r,
-                rs1: SP,
-                off: (8 * j) as i16,
-                width: llva_machine::Width::B8,
-            });
-        }
-        let call_idx = self.code.len();
-        if let Some(intr) = intrinsic_target(self.module, self.func, ops[0]) {
-            self.emit(RiscvInst::CallIntrinsic {
-                which: intr,
-                nargs: args.len().min(8) as u8,
-            });
-        } else if let Some(Constant::FunctionAddr { func, .. }) = self.func.value_as_const(ops[0])
-        {
-            self.emit(RiscvInst::Call {
-                func: func.index() as u32,
-                unwind: None,
-            });
+    fn cvt_ff(fd: FReg, fs: FReg, to32: bool) -> RiscvInst {
+        RiscvInst::CvtFF { fd, fs, to32 }
+    }
+
+    fn extend(e: &mut E, r: Reg, ty: TypeId) {
+        normalize(e, r, ty);
+    }
+
+    fn int_to_bool(e: &mut E, src: ValueId, rd: Reg) {
+        // snez rd, rs
+        let rs = e.read(src, T0);
+        e.push(alu(AluOp::Sltu, X0, reg(rs), rd));
+    }
+
+    fn float_to_bool(e: &mut E, rd: Reg, is32: bool) {
+        // rd = !(src == 0.0); feq is false on NaN, so NaN → true
+        e.push(RiscvInst::MovFG(F1, X0));
+        e.push(RiscvInst::FSet {
+            op: FSetOp::Feq,
+            rd,
+            fs1: F0,
+            fs2: F1,
+            is32,
+        });
+        e.push(alu(AluOp::Xor, rd, imm(1), rd));
+    }
+
+    fn set_cond(e: &mut E, cmp: InstId, rd: Reg) {
+        let inst = e.func.inst(cmp);
+        let (op, a, b) = (inst.opcode(), inst.operands()[0], inst.operands()[1]);
+        if e.class(e.vty(a)) == ValClass::Int {
+            int_setcc(e, op, a, b, rd);
         } else {
-            let r = self.reg_of(ops[0], T0);
-            self.emit(RiscvInst::CallIndirect {
-                rs: r,
-                unwind: None,
-            });
+            float_setcc(e, op, a, b, rd);
         }
-        if let Some(result) = self.func.inst_result(inst_id) {
-            match classify(self.module, self.func.inst(inst_id).result_type()) {
-                ValClass::Int => match self.locs[&result] {
-                    Loc::Reg(r) => self.mov(r, A0),
-                    Loc::Slot(off) => {
-                        let (base, o) = self.fp_addr(off);
-                        self.emit(RiscvInst::St {
-                            rs: A0,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
-                },
-                _ => {
-                    self.emit(RiscvInst::MovFG(FReg(0), A0));
-                    self.fstore_result(inst_id, FReg(0));
-                }
-            }
-        }
-        if op == Opcode::Invoke {
-            self.emit_phi_copies(block, blocks[0]);
-            self.jump(blocks[0]);
-            let pad = self.code.len() as u32;
-            self.emit_phi_copies(block, blocks[1]);
-            self.jump(blocks[1]);
-            match &mut self.code[call_idx] {
-                RiscvInst::Call { unwind, .. } | RiscvInst::CallIndirect { unwind, .. } => {
-                    *unwind = Some(pad);
-                }
-                _ => {}
+    }
+
+    fn branch_if(e: &mut E, cond: ValueId, fused: Option<InstId>, target: BlockId) {
+        match fused {
+            Some(cmp) => compare_branch(e, cmp, target),
+            None => {
+                let r = e.read(cond, T0);
+                e.branch(br(BrCond::Ne, r, X0), target);
             }
         }
     }
 
-    fn emit_gep(&mut self, inst_id: InstId, ops: &[ValueId]) {
-        let tt = self.module.types();
-        let cfg = self.module.target();
-        let base = self.reg_of(ops[0], T0);
-        self.mov(T0, base);
-        let mut cur = tt.pointee(self.vty(ops[0])).expect("pointer");
-        let mut static_off: i64 = 0;
-        for (i, &idx) in ops[1..].iter().enumerate() {
-            let elem_size = if i == 0 {
-                cfg.size_of(tt, cur)
+    fn branch_eq(e: &mut E, r: Reg, case: ValueId, target: BlockId) {
+        let rc = e.read(case, T1);
+        e.branch(br(BrCond::Eq, r, rc), target);
+    }
+
+    fn gep(e: &mut E, id: InstId, base: ValueId, offset: i64, dynamic: &[(ValueId, u64)]) {
+        Self::load_to(e, base, T0);
+        for &(idx, size) in dynamic {
+            let ri = e.read(idx, T1);
+            if size.is_power_of_two() {
+                e.push(alu(
+                    AluOp::Sll,
+                    ri,
+                    imm(i64::from(size.trailing_zeros())),
+                    T1,
+                ));
             } else {
-                match tt.kind(cur).clone() {
-                    TypeKind::Array { elem, .. } => {
-                        let s = cfg.size_of(tt, elem);
-                        cur = elem;
-                        s
-                    }
-                    TypeKind::LiteralStruct(_) | TypeKind::Struct(_) => {
-                        let field = self
-                            .func
-                            .value_as_const(idx)
-                            .and_then(Constant::as_int_bits)
-                            .expect("struct index constant")
-                            as usize;
-                        static_off += cfg.field_offset(tt, cur, field) as i64;
-                        cur = tt.struct_fields(cur).expect("defined")[field];
-                        continue;
-                    }
-                    other => panic!("gep into {other:?}"),
-                }
-            };
-            if let Some(k) = self
-                .func
-                .value_as_const(idx)
-                .map(|c| canonical_const(self.module, c) as i64)
-            {
-                static_off += k * elem_size as i64;
-            } else {
-                let ri = self.reg_of(idx, T1);
-                if elem_size.is_power_of_two() {
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Sll,
-                        rs1: ri,
-                        rhs: RegOrImm::Imm(elem_size.trailing_zeros() as i16),
-                        rd: T1,
-                        trapping: false,
-                    });
-                } else {
-                    self.mat_const(elem_size, T2);
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Mul,
-                        rs1: ri,
-                        rhs: RegOrImm::Reg(T2),
-                        rd: T1,
-                        trapping: false,
-                    });
-                }
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Add,
-                    rs1: T0,
-                    rhs: RegOrImm::Reg(T1),
-                    rd: T0,
-                    trapping: false,
-                });
+                Self::mat_const(e, size, T2);
+                e.push(alu(AluOp::Mul, ri, reg(T2), T1));
             }
+            e.push(alu(AluOp::Add, T0, reg(T1), T0));
         }
-        let (rd, spill) = self.dst_of(inst_id, T2);
-        if static_off != 0 {
-            if fits_imm12(static_off) {
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Add,
-                    rs1: T0,
-                    rhs: RegOrImm::Imm(static_off as i16),
-                    rd,
-                    trapping: false,
-                });
-            } else {
-                self.mat_const(static_off as u64, T3);
-                self.emit(RiscvInst::Alu {
-                    op: AluOp::Add,
-                    rs1: T0,
-                    rhs: RegOrImm::Reg(T3),
-                    rd,
-                    trapping: false,
-                });
-            }
+        let rd = e.dst(id, T2);
+        if offset != 0 {
+            alu_imm(e, AluOp::Add, T0, offset, rd, T3);
         } else {
-            self.mov(rd, T0);
+            Self::mov(e, rd, T0);
         }
-        self.finish_dst(rd, spill);
-    }
-
-    fn emit_cast(&mut self, inst_id: InstId, src: ValueId, to: TypeId) {
-        let tt = self.module.types();
-        let from = self.vty(src);
-        let from_class = classify(self.module, from);
-        let to_class = classify(self.module, to);
-        match (from_class, to_class) {
-            (ValClass::Int, ValClass::Int) => {
-                let rs = self.reg_of(src, T0);
-                let (rd, spill) = self.dst_of(inst_id, T2);
-                if matches!(tt.kind(to), TypeKind::Bool) {
-                    // snez rd, rs
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Sltu,
-                        rs1: X0,
-                        rhs: RegOrImm::Reg(rs),
-                        rd,
-                        trapping: false,
-                    });
-                } else {
-                    self.mov(rd, rs);
-                    self.normalize(rd, to);
-                }
-                self.finish_dst(rd, spill);
-            }
-            (ValClass::Int, fc) => {
-                let rs = self.reg_of(src, T0);
-                self.emit(RiscvInst::CvtIF {
-                    fd: FReg(0),
-                    rs,
-                    to32: fc == ValClass::F32,
-                    signed: tt.is_signed_integer(from) || matches!(tt.kind(from), TypeKind::Bool),
-                });
-                self.fstore_result(inst_id, FReg(0));
-            }
-            (fc, ValClass::Int) => {
-                self.freg_of(src, FReg(0));
-                let (rd, spill) = self.dst_of(inst_id, T2);
-                if matches!(tt.kind(to), TypeKind::Bool) {
-                    // rd = !(src == 0.0); feq is false on NaN, so NaN → true
-                    self.emit(RiscvInst::MovFG(FReg(1), X0));
-                    self.emit(RiscvInst::FSet {
-                        op: FSetOp::Feq,
-                        rd,
-                        fs1: FReg(0),
-                        fs2: FReg(1),
-                        is32: fc == ValClass::F32,
-                    });
-                    self.emit(RiscvInst::Alu {
-                        op: AluOp::Xor,
-                        rs1: rd,
-                        rhs: RegOrImm::Imm(1),
-                        rd,
-                        trapping: false,
-                    });
-                } else {
-                    self.emit(RiscvInst::CvtFI {
-                        rd,
-                        fs: FReg(0),
-                        from32: fc == ValClass::F32,
-                        signed: tt.is_signed_integer(to),
-                    });
-                    self.normalize(rd, to);
-                }
-                self.finish_dst(rd, spill);
-            }
-            (fa, fb) => {
-                self.freg_of(src, FReg(0));
-                if fa != fb {
-                    self.emit(RiscvInst::CvtFF {
-                        fd: FReg(0),
-                        fs: FReg(0),
-                        to32: fb == ValClass::F32,
-                    });
-                }
-                self.fstore_result(inst_id, FReg(0));
-            }
-        }
+        e.finish(id, rd);
     }
 }
 

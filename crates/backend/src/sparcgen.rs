@@ -1,1251 +1,125 @@
-//! The SPARC-V9 code generator.
+//! The SPARC-V9 target description.
 //!
 //! Per the paper (§5.2), "the Sparc back-end produces higher quality
 //! code, but requires more instructions because of the RISC
-//! architecture". Quality: a use-count register assignment keeps hot
-//! SSA values in the 14 callee-saved registers `%l0`–`%l7`/`%i0`–`%i5`
+//! architecture". Quality: every integer value is a promotion
+//! candidate for the 14 callee-saved registers `%l0`–`%l7`/`%i0`–`%i5`
 //! (flat registers here — no register windows, see DESIGN.md), sparing
-//! the reload traffic the x86 back end generates. RISC cost: constants
-//! beyond 13 bits need `sethi`/`or` pairs, address constants need
-//! relocation pairs, and narrow arithmetic needs explicit shift-pair
+//! the reload traffic of the x86 back end. RISC cost: constants beyond
+//! 13 bits need `sethi`/`or` pairs, address constants need relocation
+//! pairs, and narrow arithmetic needs explicit shift-pair
 //! normalization.
 //!
-//! Frame discipline: `%fp` holds the caller's stack pointer; spill
-//! slots, phi staging slots, preallocated `alloca`s and the saved
-//! registers live at negative `%fp` offsets; outgoing argument overflow
-//! lives at `[%sp + 8j]`; incoming overflow at `[%fp + 8j]`.
+//! Frame discipline: `%fp` holds the caller's stack pointer and the
+//! caller's `%fp` is saved at `[%fp - 8]`; the planner's slots lie below
+//! it. Arguments arrive in `%o0`–`%o5`, the rest at `[%fp + 8j]`;
+//! outgoing overflow is stored at `[%sp + 8j]`. Compares set condition
+//! codes for a `b<cond>`.
 
-use crate::common::{
-    access_of, canonical_const, classify, fused_compares, inst_defining, intrinsic_target,
-    use_counts, ValClass,
-};
-use llva_core::function::{BlockId, Function};
+use crate::common::ValClass;
+use crate::lower::{self, Callee, Lower, Policy, Target};
+use crate::peephole::{PeepholeConfig, SparcPeep};
+use llva_core::function::BlockId;
 use llva_core::instruction::{InstId, Opcode};
 use llva_core::module::{FuncId, Module};
-use llva_core::types::{TypeId, TypeKind};
-use llva_core::value::{Constant, ValueId};
-use llva_machine::common::Sym;
+use llva_core::types::TypeId;
+use llva_core::value::ValueId;
+use llva_machine::common::{FpOp, Sym, Width};
 use llva_machine::sparc::{
     fits_imm13, AluOp, Cond, FReg, Reg, RegOrImm, SparcInst, G0, G1, G2, G3, G4, O0, SP,
 };
-use std::collections::{HashMap, HashSet};
-
-/// The frame pointer register (`%i6`).
-pub const FP: Reg = Reg(30);
 
 /// Compiles one function to SPARC code. The module must verify.
 pub fn compile_sparc(module: &Module, fid: FuncId) -> Vec<SparcInst> {
-    compile_sparc_with(module, fid, &crate::peephole::PeepholeConfig::from_env())
+    compile_sparc_with(module, fid, &PeepholeConfig::on())
 }
 
 /// [`compile_sparc`] with an explicit peephole configuration (used by
 /// the conformance oracle's off-vs-on stages and perf-smoke deltas).
-pub fn compile_sparc_with(
-    module: &Module,
-    fid: FuncId,
-    peep: &crate::peephole::PeepholeConfig,
-) -> Vec<SparcInst> {
-    let func = module.function(fid);
-    assert!(!func.is_declaration(), "cannot compile a declaration");
-    let mut cg = CodeGen::new(module, func);
-    cg.run();
-    crate::peephole::run_sparc(cg.finish(), peep)
+pub fn compile_sparc_with(module: &Module, fid: FuncId, peep: &PeepholeConfig) -> Vec<SparcInst> {
+    lower::compile::<Sparc>(module, fid, peep)
 }
 
-/// Allocatable callee-saved registers: `%l0..%l7`, `%i0..%i5`.
-const ALLOCATABLE: [Reg; 14] = [
-    Reg(16),
-    Reg(17),
-    Reg(18),
-    Reg(19),
-    Reg(20),
-    Reg(21),
-    Reg(22),
-    Reg(23),
-    Reg(24),
-    Reg(25),
-    Reg(26),
-    Reg(27),
-    Reg(28),
-    Reg(29),
-];
+/// The frame pointer register (`%i6`).
+const FP: Reg = Reg(30);
+const F0: FReg = FReg(0);
+const F1: FReg = FReg(1);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Reg(Reg),
-    Slot(i32), // negative offset from %fp
+/// The SPARC description the lowering driver runs over.
+pub(crate) struct Sparc;
+
+type E<'a> = Lower<'a, Sparc>;
+
+fn alu(op: AluOp, rs1: Reg, rhs: RegOrImm, rd: Reg) -> SparcInst {
+    SparcInst::Alu {
+        op,
+        rs1,
+        rhs,
+        rd,
+        trapping: false,
+    }
 }
 
-struct CodeGen<'a> {
-    module: &'a Module,
-    func: &'a Function,
-    code: Vec<SparcInst>,
-    locs: HashMap<ValueId, Loc>,
-    staging: HashMap<InstId, i32>,
-    alloca_home: HashMap<InstId, i32>,
-    save_slots: HashMap<Reg, i32>,
-    frame_size: i32,
-    used_saved: Vec<Reg>,
-    fused: HashSet<InstId>,
-    block_starts: HashMap<BlockId, u32>,
-    fixups: Vec<(usize, BlockId)>,
-    bool_ty: TypeId,
-    out_area: i32,
+fn imm(v: i64) -> RegOrImm {
+    RegOrImm::Imm(v as i16)
 }
 
-impl<'a> CodeGen<'a> {
-    fn new(module: &'a Module, func: &'a Function) -> CodeGen<'a> {
-        let bool_ty = module.types().bool_or_sentinel();
-        let mut cg = CodeGen {
-            module,
-            func,
-            code: Vec::new(),
-            locs: HashMap::new(),
-            staging: HashMap::new(),
-            alloca_home: HashMap::new(),
-            save_slots: HashMap::new(),
-            // fp-8 = saved old fp; saved regs and slots grow below
-            frame_size: 8,
-            used_saved: Vec::new(),
-            fused: fused_compares(func),
-            block_starts: HashMap::new(),
-            fixups: Vec::new(),
-            bool_ty,
-            out_area: 0,
-        };
-        cg.assign_locations();
-        cg
+/// `rd := rs op v`, materialising a wide `v` into `tmp`.
+fn alu_imm(e: &mut E, op: AluOp, rs: Reg, v: i64, rd: Reg, tmp: Reg) {
+    if fits_imm13(v) {
+        e.push(alu(op, rs, imm(v), rd));
+    } else {
+        Sparc::mat_const(e, v as u64, tmp);
+        e.push(alu(op, rs, RegOrImm::Reg(tmp), rd));
     }
+}
 
-    fn new_slot(&mut self) -> i32 {
-        self.frame_size += 8;
-        -self.frame_size
+/// A `(base, offset)` pair addressing `%fp + off`, routing wide
+/// offsets through `%g4`.
+fn fp_mem(e: &mut E, off: i32) -> (Reg, RegOrImm) {
+    if fits_imm13(i64::from(off)) {
+        (FP, imm(i64::from(off)))
+    } else {
+        Sparc::mat_const(e, off as i64 as u64, G4);
+        (FP, RegOrImm::Reg(G4))
     }
+}
 
-    fn assign_locations(&mut self) {
-        let counts = use_counts(self.func);
-        // candidates: int-class args + int-class instruction results
-        let mut candidates: Vec<(usize, ValueId)> = Vec::new();
-        for &a in self.func.args() {
-            if classify(self.module, self.func.value_type(a, self.bool_ty)) == ValClass::Int {
-                candidates.push((counts.get(&a).copied().unwrap_or(0) + 1, a));
-            }
-        }
-        for (_, inst_id) in self.func.inst_iter() {
-            if let Some(r) = self.func.inst_result(inst_id) {
-                if classify(self.module, self.func.value_type(r, self.bool_ty)) == ValClass::Int {
-                    candidates.push((counts.get(&r).copied().unwrap_or(0), r));
-                }
-            }
-        }
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for ((_, v), &reg) in candidates.iter().zip(ALLOCATABLE.iter()) {
-            self.locs.insert(*v, Loc::Reg(reg));
-            if !self.used_saved.contains(&reg) {
-                self.used_saved.push(reg);
-                let slot = self.new_slot();
-                self.save_slots.insert(reg, slot);
-            }
-        }
-        // everything else gets a slot
-        for a in self.func.args().to_vec() {
-            if !self.locs.contains_key(&a) {
-                let s = self.new_slot();
-                self.locs.insert(a, Loc::Slot(s));
-            }
-        }
-        for (_, inst_id) in self.func.inst_iter().collect::<Vec<_>>() {
-            if let Some(r) = self.func.inst_result(inst_id) {
-                if !self.locs.contains_key(&r) {
-                    let s = self.new_slot();
-                    self.locs.insert(r, Loc::Slot(s));
-                }
-            }
-            let inst = self.func.inst(inst_id);
-            if inst.opcode() == Opcode::Phi {
-                let s = self.new_slot();
-                self.staging.insert(inst_id, s);
-            }
-            if inst.opcode() == Opcode::Alloca && inst.operands().is_empty() {
-                let pointee = self
-                    .module
-                    .types()
-                    .pointee(inst.result_type())
-                    .expect("alloca yields a pointer");
-                let size = self.module.target().size_of(self.module.types(), pointee);
-                let size = ((size + 7) & !7) as i32;
-                self.frame_size += size;
-                self.alloca_home.insert(inst_id, -self.frame_size);
-            }
-            if matches!(inst.opcode(), Opcode::Call | Opcode::Invoke) {
-                let extra = inst.operands().len().saturating_sub(1).saturating_sub(6) as i32;
-                self.out_area = self.out_area.max(extra * 8);
-            }
-        }
+/// The second-operand form: a 13-bit immediate when possible.
+fn rhs(e: &mut E, v: ValueId, scratch: Reg) -> RegOrImm {
+    match e.imm(v).filter(|&bits| fits_imm13(bits)) {
+        Some(bits) => imm(bits),
+        None => RegOrImm::Reg(e.read(v, scratch)),
     }
+}
 
-    fn finish(self) -> Vec<SparcInst> {
-        self.code
+fn st(rs: Reg, rs1: Reg, off: RegOrImm) -> SparcInst {
+    SparcInst::St {
+        rs,
+        rs1,
+        off,
+        width: Width::B8,
     }
+}
 
-    fn vty(&self, v: ValueId) -> TypeId {
-        self.func.value_type(v, self.bool_ty)
+fn ld(rd: Reg, rs1: Reg, off: RegOrImm) -> SparcInst {
+    SparcInst::Ld {
+        rd,
+        rs1,
+        off,
+        width: Width::B8,
+        signed: false,
     }
+}
 
-    fn emit(&mut self, inst: SparcInst) {
-        self.code.push(inst);
-    }
-
-    fn mov(&mut self, dst: Reg, src: Reg) {
-        if dst != src {
-            self.emit(SparcInst::Alu {
-                op: AluOp::Or,
-                rs1: src,
-                rhs: RegOrImm::Imm(0),
-                rd: dst,
-                trapping: false,
-            });
-        }
-    }
-
-    /// Materializes an integer constant into `dst`.
-    fn mat_const(&mut self, bits: u64, dst: Reg) {
-        let v = bits as i64;
-        if v == 0 {
-            self.mov(dst, G0);
-            return;
-        }
-        if fits_imm13(v) {
-            self.emit(SparcInst::Alu {
-                op: AluOp::Or,
-                rs1: G0,
-                rhs: RegOrImm::Imm(v as i16),
-                rd: dst,
-                trapping: false,
-            });
-            return;
-        }
-        let low32 = bits & 0xFFFF_FFFF;
-        let high32 = bits >> 32;
-        self.emit(SparcInst::Sethi {
-            imm22: (low32 >> 10) as u32,
-            rd: dst,
-        });
-        if low32 & 0x3FF != 0 {
-            self.emit(SparcInst::Alu {
-                op: AluOp::Or,
-                rs1: dst,
-                rhs: RegOrImm::Imm((low32 & 0x3FF) as i16),
-                rd: dst,
-                trapping: false,
-            });
-        }
-        if high32 != 0 && high32 != 0xFFFF_FFFF {
-            self.emit(SparcInst::Sethi {
-                imm22: (high32 >> 10) as u32,
-                rd: G4,
-            });
-            if high32 & 0x3FF != 0 {
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Or,
-                    rs1: G4,
-                    rhs: RegOrImm::Imm((high32 & 0x3FF) as i16),
-                    rd: G4,
-                    trapping: false,
-                });
-            }
-            self.emit(SparcInst::Alu {
-                op: AluOp::Sll,
-                rs1: G4,
-                rhs: RegOrImm::Imm(32),
-                rd: G4,
-                trapping: false,
-            });
-            self.emit(SparcInst::Alu {
-                op: AluOp::Or,
-                rs1: dst,
-                rhs: RegOrImm::Reg(G4),
-                rd: dst,
-                trapping: false,
-            });
-        } else if high32 == 0xFFFF_FFFF {
-            self.emit(SparcInst::Alu {
-                op: AluOp::Sll,
-                rs1: dst,
-                rhs: RegOrImm::Imm(32),
-                rd: dst,
-                trapping: false,
-            });
-            self.emit(SparcInst::Alu {
-                op: AluOp::Sra,
-                rs1: dst,
-                rhs: RegOrImm::Imm(32),
-                rd: dst,
-                trapping: false,
-            });
-        }
-    }
-
-    /// A (base, offset) pair addressing `%fp + off`, routing wide
-    /// offsets through `%g4`.
-    fn fp_mem(&mut self, off: i32) -> (Reg, RegOrImm) {
-        if fits_imm13(i64::from(off)) {
-            (FP, RegOrImm::Imm(off as i16))
-        } else {
-            self.mat_const(off as i64 as u64, G4);
-            (FP, RegOrImm::Reg(G4))
-        }
-    }
-
-    /// Ensures `v` is in a register, loading/materializing into
-    /// `scratch` when needed. Returns the register actually holding it.
-    fn reg_of(&mut self, v: ValueId, scratch: Reg) -> Reg {
-        if let Some(c) = self.func.value_as_const(v) {
-            match c {
-                Constant::GlobalAddr { global, .. } => {
-                    self.emit(SparcInst::MovSym {
-                        rd: scratch,
-                        sym: Sym::Global(global.index() as u32),
-                    });
-                }
-                Constant::FunctionAddr { func, .. } => {
-                    self.emit(SparcInst::MovSym {
-                        rd: scratch,
-                        sym: Sym::Function(func.index() as u32),
-                    });
-                }
-                _ => {
-                    let bits = canonical_const(self.module, c);
-                    if bits == 0 {
-                        return G0;
-                    }
-                    self.mat_const(bits, scratch);
-                }
-            }
-            return scratch;
-        }
-        match self.locs[&v] {
-            Loc::Reg(r) => r,
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_mem(off);
-                self.emit(SparcInst::Ld {
-                    rd: scratch,
-                    rs1: base,
-                    off: o,
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                scratch
-            }
-        }
-    }
-
-    /// The second-operand form: a 13-bit immediate when possible.
-    fn rhs_of(&mut self, v: ValueId, scratch: Reg) -> RegOrImm {
-        if let Some(c) = self.func.value_as_const(v) {
-            if !matches!(
-                c,
-                Constant::GlobalAddr { .. } | Constant::FunctionAddr { .. }
-            ) {
-                let bits = canonical_const(self.module, c) as i64;
-                if fits_imm13(bits) {
-                    return RegOrImm::Imm(bits as i16);
-                }
-            }
-        }
-        RegOrImm::Reg(self.reg_of(v, scratch))
-    }
-
-    /// Where to compute a result: directly into its home register, or
-    /// into `scratch` followed by a store.
-    fn dst_of(&mut self, inst: InstId, scratch: Reg) -> (Reg, Option<i32>) {
-        let v = self.func.inst_result(inst).expect("has result");
-        match self.locs[&v] {
-            Loc::Reg(r) => (r, None),
-            Loc::Slot(off) => (scratch, Some(off)),
-        }
-    }
-
-    fn finish_dst(&mut self, reg: Reg, spill: Option<i32>) {
-        if let Some(off) = spill {
-            let (base, o) = self.fp_mem(off);
-            self.emit(SparcInst::St {
-                rs: reg,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
-        }
-    }
-
-    /// Loads a float value into `f`.
-    fn freg_of(&mut self, v: ValueId, f: FReg) {
-        if let Some(c) = self.func.value_as_const(v) {
-            let bits = canonical_const(self.module, c);
-            self.mat_const(bits, G1);
-            self.emit(SparcInst::MovFG(f, G1));
-            return;
-        }
-        match self.locs[&v] {
-            Loc::Reg(r) => self.emit(SparcInst::MovFG(f, r)),
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_mem(off);
-                self.emit(SparcInst::LdF {
-                    fd: f,
-                    rs1: base,
-                    off: o,
-                    is32: false,
-                });
-            }
-        }
-    }
-
-    fn fstore_result(&mut self, inst: InstId, f: FReg) {
-        let v = self.func.inst_result(inst).expect("has result");
-        match self.locs[&v] {
-            Loc::Reg(r) => self.emit(SparcInst::MovGF(r, f)),
-            Loc::Slot(off) => {
-                let (base, o) = self.fp_mem(off);
-                self.emit(SparcInst::StF {
-                    fs: f,
-                    rs1: base,
-                    off: o,
-                    is32: false,
-                });
-            }
-        }
-    }
-
-    /// Normalizes `r` to the canonical form of a narrow integer type
-    /// using a shift pair.
-    fn normalize(&mut self, r: Reg, ty: TypeId) {
-        let tt = self.module.types();
-        if let Some(w) = tt.int_bits(ty) {
-            if w < 64 {
-                let sh = (64 - w.max(8)) as i16;
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Sll,
-                    rs1: r,
-                    rhs: RegOrImm::Imm(sh),
-                    rd: r,
-                    trapping: false,
-                });
-                self.emit(SparcInst::Alu {
-                    op: if tt.is_signed_integer(ty) {
-                        AluOp::Sra
-                    } else {
-                        AluOp::Srl
-                    },
-                    rs1: r,
-                    rhs: RegOrImm::Imm(sh),
-                    rd: r,
-                    trapping: false,
-                });
-            }
-        }
-    }
-
-    fn jump(&mut self, target: BlockId) {
-        self.fixups.push((self.code.len(), target));
-        self.emit(SparcInst::Ba { target: 0 });
-    }
-
-    fn jcc(&mut self, cond: Cond, target: BlockId) {
-        self.fixups.push((self.code.len(), target));
-        self.emit(SparcInst::Br { cond, target: 0 });
-    }
-
-    fn cond_for(&self, op: Opcode, ty: TypeId) -> Cond {
-        let tt = self.module.types();
-        let signed = tt.is_signed_integer(ty) || tt.is_float(ty);
-        match (op, signed) {
-            (Opcode::SetEq, _) => Cond::E,
-            (Opcode::SetNe, _) => Cond::Ne,
-            (Opcode::SetLt, true) => Cond::L,
-            (Opcode::SetLt, false) => Cond::Lu,
-            (Opcode::SetGt, true) => Cond::G,
-            (Opcode::SetGt, false) => Cond::Gu,
-            (Opcode::SetLe, true) => Cond::Le,
-            (Opcode::SetLe, false) => Cond::Leu,
-            (Opcode::SetGe, true) => Cond::Ge,
-            (Opcode::SetGe, false) => Cond::Geu,
-            _ => unreachable!("not a comparison"),
-        }
-    }
-
-    fn emit_compare_flags(&mut self, inst_id: InstId) {
-        let inst = self.func.inst(inst_id);
-        let (a, b) = (inst.operands()[0], inst.operands()[1]);
-        let ty = self.vty(a);
-        match classify(self.module, ty) {
-            ValClass::Int => {
-                let ra = self.reg_of(a, G1);
-                let rb = self.rhs_of(b, G2);
-                self.emit(SparcInst::Cmp { rs1: ra, rhs: rb });
-            }
-            class => {
-                self.freg_of(a, FReg(0));
-                self.freg_of(b, FReg(1));
-                self.emit(SparcInst::FCmp {
-                    fs1: FReg(0),
-                    fs2: FReg(1),
-                    is32: class == ValClass::F32,
-                });
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        self.emit_prologue();
-        let order = self.func.block_order().to_vec();
-        for (bi, &block) in order.iter().enumerate() {
-            self.block_starts.insert(block, self.code.len() as u32);
-            let next_block = order.get(bi + 1).copied();
-            let insts = self.func.block(block).insts().to_vec();
-            for &inst_id in &insts {
-                self.emit_inst(block, inst_id, next_block);
-            }
-        }
-        for (idx, block) in std::mem::take(&mut self.fixups) {
-            let target = self.block_starts[&block];
-            match &mut self.code[idx] {
-                SparcInst::Ba { target: t } | SparcInst::Br { target: t, .. } => *t = target,
-                SparcInst::Call { unwind, .. } | SparcInst::CallIndirect { unwind, .. } => {
-                    *unwind = Some(target);
-                }
-                other => unreachable!("fixup on {other:?}"),
-            }
-        }
-    }
-
-    fn emit_prologue(&mut self) {
-        let frame = (self.frame_size + self.out_area + 15) & !15;
-        // g1 = old sp
-        self.mov(G1, SP);
-        if fits_imm13(i64::from(frame)) {
-            self.emit(SparcInst::Alu {
-                op: AluOp::Sub,
-                rs1: SP,
-                rhs: RegOrImm::Imm(frame as i16),
-                rd: SP,
-                trapping: false,
-            });
-        } else {
-            self.mat_const(frame as u64, G2);
-            self.emit(SparcInst::Alu {
-                op: AluOp::Sub,
-                rs1: SP,
-                rhs: RegOrImm::Reg(G2),
-                rd: SP,
-                trapping: false,
-            });
-        }
-        // save old fp at [g1 - 8]; fp = old sp
-        self.emit(SparcInst::St {
-            rs: FP,
-            rs1: G1,
-            off: RegOrImm::Imm(-8),
-            width: llva_machine::Width::B8,
-        });
-        self.mov(FP, G1);
-        // save used callee-saved registers
-        let saves: Vec<(Reg, i32)> = self
-            .used_saved
-            .iter()
-            .map(|r| (*r, self.save_slots[r]))
-            .collect();
-        for (r, off) in saves {
-            let (base, o) = self.fp_mem(off);
-            self.emit(SparcInst::St {
-                rs: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
-        }
-        // move incoming arguments to their homes
-        let args = self.func.args().to_vec();
-        for (i, &a) in args.iter().enumerate() {
-            if i < 6 {
-                let src = Reg(8 + i as u8);
-                match self.locs[&a] {
-                    Loc::Reg(r) => self.mov(r, src),
-                    Loc::Slot(off) => {
-                        let (base, o) = self.fp_mem(off);
-                        self.emit(SparcInst::St {
-                            rs: src,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
-                }
-            } else {
-                // incoming overflow at [fp + 8*(i-6)]
-                let off = 8 * (i as i32 - 6);
-                self.emit(SparcInst::Ld {
-                    rd: G1,
-                    rs1: FP,
-                    off: RegOrImm::Imm(off as i16),
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                match self.locs[&a] {
-                    Loc::Reg(r) => self.mov(r, G1),
-                    Loc::Slot(soff) => {
-                        let (base, o) = self.fp_mem(soff);
-                        self.emit(SparcInst::St {
-                            rs: G1,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn emit_epilogue(&mut self) {
-        let saves: Vec<(Reg, i32)> = self
-            .used_saved
-            .iter()
-            .map(|r| (*r, self.save_slots[r]))
-            .collect();
-        for (r, off) in saves {
-            let (base, o) = self.fp_mem(off);
-            self.emit(SparcInst::Ld {
-                rd: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-                signed: false,
-            });
-        }
-        // old fp at [fp - 8]; sp = fp
-        self.emit(SparcInst::Ld {
-            rd: G1,
-            rs1: FP,
-            off: RegOrImm::Imm(-8),
-            width: llva_machine::Width::B8,
-            signed: false,
-        });
-        self.mov(SP, FP);
-        self.mov(FP, G1);
-        self.emit(SparcInst::Ret);
-    }
-
-    fn emit_phi_copies(&mut self, block: BlockId, succ: BlockId) {
-        let phis: Vec<InstId> = self
-            .func
-            .block(succ)
-            .insts()
-            .iter()
-            .copied()
-            .filter(|&i| self.func.inst(i).opcode() == Opcode::Phi)
-            .collect();
-        for phi in phis {
-            let Some(incoming) = self.func.phi_incoming(phi, block) else {
-                continue;
-            };
-            let off = self.staging[&phi];
-            let r = self.reg_of(incoming, G1);
-            let (base, o) = self.fp_mem(off);
-            self.emit(SparcInst::St {
-                rs: r,
-                rs1: base,
-                off: o,
-                width: llva_machine::Width::B8,
-            });
-        }
-    }
-
-    fn emit_all_phi_copies(&mut self, block: BlockId) {
-        for succ in self.func.successors(block) {
-            self.emit_phi_copies(block, succ);
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn emit_inst(&mut self, block: BlockId, inst_id: InstId, next_block: Option<BlockId>) {
-        let inst = self.func.inst(inst_id).clone();
-        let op = inst.opcode();
-        let ops = inst.operands().to_vec();
-        let blocks = inst.block_operands().to_vec();
-        let tt = self.module.types();
-
-        if self.fused.contains(&inst_id) {
-            return;
-        }
-
-        match op {
-            _ if op.is_binary() => {
-                let ty = inst.result_type();
-                match classify(self.module, ty) {
-                    ValClass::Int => {
-                        let signed = tt.is_signed_integer(ty);
-                        let alu = match op {
-                            Opcode::Add => AluOp::Add,
-                            Opcode::Sub => AluOp::Sub,
-                            Opcode::Mul => AluOp::Mul,
-                            Opcode::Div => {
-                                if signed {
-                                    AluOp::Sdiv
-                                } else {
-                                    AluOp::Udiv
-                                }
-                            }
-                            Opcode::Rem => {
-                                if signed {
-                                    AluOp::Srem
-                                } else {
-                                    AluOp::Urem
-                                }
-                            }
-                            Opcode::And => AluOp::And,
-                            Opcode::Or => AluOp::Or,
-                            Opcode::Xor => AluOp::Xor,
-                            Opcode::Shl => AluOp::Sll,
-                            Opcode::Shr => {
-                                if signed {
-                                    AluOp::Sra
-                                } else {
-                                    AluOp::Srl
-                                }
-                            }
-                            _ => unreachable!(),
-                        };
-                        let ra = self.reg_of(ops[0], G1);
-                        let rb = self.rhs_of(ops[1], G2);
-                        let (rd, spill) = self.dst_of(inst_id, G3);
-                        self.emit(SparcInst::Alu {
-                            op: alu,
-                            rs1: ra,
-                            rhs: rb,
-                            rd,
-                            trapping: inst.exceptions_enabled(),
-                        });
-                        if matches!(
-                            op,
-                            Opcode::Add
-                                | Opcode::Sub
-                                | Opcode::Mul
-                                | Opcode::Shl
-                                | Opcode::Div
-                                | Opcode::Rem
-                        ) {
-                            self.normalize(rd, ty);
-                        }
-                        self.finish_dst(rd, spill);
-                    }
-                    class => {
-                        let is32 = class == ValClass::F32;
-                        self.freg_of(ops[0], FReg(0));
-                        self.freg_of(ops[1], FReg(1));
-                        let fop = match op {
-                            Opcode::Add => llva_machine::sparc::FpOp::Add,
-                            Opcode::Sub => llva_machine::sparc::FpOp::Sub,
-                            Opcode::Mul => llva_machine::sparc::FpOp::Mul,
-                            Opcode::Div | Opcode::Rem => llva_machine::sparc::FpOp::Div,
-                            _ => panic!("bitwise op on float"),
-                        };
-                        if op == Opcode::Rem {
-                            self.emit(SparcInst::FAlu {
-                                op: llva_machine::sparc::FpOp::Div,
-                                fs1: FReg(0),
-                                fs2: FReg(1),
-                                fd: FReg(2),
-                                is32,
-                            });
-                            self.emit(SparcInst::CvtFI {
-                                rd: G1,
-                                fs: FReg(2),
-                                from32: is32,
-                                signed: true,
-                            });
-                            self.emit(SparcInst::CvtIF {
-                                fd: FReg(2),
-                                rs: G1,
-                                to32: is32,
-                                signed: true,
-                            });
-                            self.emit(SparcInst::FAlu {
-                                op: llva_machine::sparc::FpOp::Mul,
-                                fs1: FReg(2),
-                                fs2: FReg(1),
-                                fd: FReg(2),
-                                is32,
-                            });
-                            self.emit(SparcInst::FAlu {
-                                op: llva_machine::sparc::FpOp::Sub,
-                                fs1: FReg(0),
-                                fs2: FReg(2),
-                                fd: FReg(0),
-                                is32,
-                            });
-                        } else {
-                            self.emit(SparcInst::FAlu {
-                                op: fop,
-                                fs1: FReg(0),
-                                fs2: FReg(1),
-                                fd: FReg(0),
-                                is32,
-                            });
-                        }
-                        self.fstore_result(inst_id, FReg(0));
-                    }
-                }
-            }
-            _ if op.is_comparison() => {
-                self.emit_compare_flags(inst_id);
-                let cond = self.cond_for(op, self.vty(ops[0]));
-                let (rd, spill) = self.dst_of(inst_id, G3);
-                self.mov(rd, G0);
-                let skip = self.code.len() as u32 + 2;
-                self.emit(SparcInst::Br {
-                    cond: invert(cond),
-                    target: skip,
-                });
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Or,
-                    rs1: G0,
-                    rhs: RegOrImm::Imm(1),
-                    rd,
-                    trapping: false,
-                });
-                self.finish_dst(rd, spill);
-            }
-            Opcode::Ret => {
-                if let Some(&v) = ops.first() {
-                    match classify(self.module, self.vty(v)) {
-                        ValClass::Int => {
-                            let r = self.reg_of(v, G1);
-                            self.mov(O0, r);
-                        }
-                        _ => {
-                            // float returns as raw bits in %o0
-                            self.freg_of(v, FReg(0));
-                            self.emit(SparcInst::MovGF(O0, FReg(0)));
-                        }
-                    }
-                }
-                self.emit_epilogue();
-            }
-            Opcode::Br => {
-                self.emit_all_phi_copies(block);
-                if ops.is_empty() {
-                    if next_block != Some(blocks[0]) {
-                        self.jump(blocks[0]);
-                    }
-                } else {
-                    let cond_val = ops[0];
-                    let cond = match inst_defining(self.func, cond_val) {
-                        Some(def) if self.fused.contains(&def) => {
-                            self.emit_compare_flags(def);
-                            let def_inst = self.func.inst(def);
-                            self.cond_for(def_inst.opcode(), self.vty(def_inst.operands()[0]))
-                        }
-                        _ => {
-                            let r = self.reg_of(cond_val, G1);
-                            self.emit(SparcInst::Cmp {
-                                rs1: r,
-                                rhs: RegOrImm::Imm(0),
-                            });
-                            Cond::Ne
-                        }
-                    };
-                    self.jcc(cond, blocks[0]);
-                    if next_block != Some(blocks[1]) {
-                        self.jump(blocks[1]);
-                    }
-                }
-            }
-            Opcode::Mbr => {
-                self.emit_all_phi_copies(block);
-                let r = self.reg_of(ops[0], G1);
-                for (i, &case) in ops[1..].iter().enumerate() {
-                    let rb = self.rhs_of(case, G2);
-                    self.emit(SparcInst::Cmp { rs1: r, rhs: rb });
-                    self.jcc(Cond::E, blocks[1 + i]);
-                }
-                if next_block != Some(blocks[0]) {
-                    self.jump(blocks[0]);
-                }
-            }
-            Opcode::Call | Opcode::Invoke => {
-                self.emit_call(block, inst_id, op, &ops, &blocks);
-            }
-            Opcode::Unwind => self.emit(SparcInst::Unwind),
-            Opcode::Load => {
-                let pointee = tt.pointee(self.vty(ops[0])).expect("pointer");
-                let (width, signed) = access_of(self.module, pointee);
-                let rp = self.reg_of(ops[0], G1);
-                match classify(self.module, pointee) {
-                    ValClass::Int => {
-                        let (rd, spill) = self.dst_of(inst_id, G3);
-                        self.emit(SparcInst::Ld {
-                            rd,
-                            rs1: rp,
-                            off: RegOrImm::Imm(0),
-                            width,
-                            signed,
-                        });
-                        self.finish_dst(rd, spill);
-                    }
-                    class => {
-                        self.emit(SparcInst::LdF {
-                            fd: FReg(0),
-                            rs1: rp,
-                            off: RegOrImm::Imm(0),
-                            is32: class == ValClass::F32,
-                        });
-                        self.fstore_result(inst_id, FReg(0));
-                    }
-                }
-            }
-            Opcode::Store => {
-                let pointee = tt.pointee(self.vty(ops[1])).expect("pointer");
-                let (width, _) = access_of(self.module, pointee);
-                let rv = self.reg_of(ops[0], G1);
-                let rp = self.reg_of(ops[1], G2);
-                self.emit(SparcInst::St {
-                    rs: rv,
-                    rs1: rp,
-                    off: RegOrImm::Imm(0),
-                    width,
-                });
-            }
-            Opcode::GetElementPtr => self.emit_gep(inst_id, &ops),
-            Opcode::Alloca => {
-                let (rd, spill) = self.dst_of(inst_id, G3);
-                if ops.is_empty() {
-                    let off = self.alloca_home[&inst_id];
-                    if fits_imm13(i64::from(off)) {
-                        self.emit(SparcInst::Alu {
-                            op: AluOp::Add,
-                            rs1: FP,
-                            rhs: RegOrImm::Imm(off as i16),
-                            rd,
-                            trapping: false,
-                        });
-                    } else {
-                        self.mat_const(off as i64 as u64, G4);
-                        self.emit(SparcInst::Alu {
-                            op: AluOp::Add,
-                            rs1: FP,
-                            rhs: RegOrImm::Reg(G4),
-                            rd,
-                            trapping: false,
-                        });
-                    }
-                } else {
-                    let pointee = tt.pointee(inst.result_type()).expect("pointer");
-                    let size = self.module.target().size_of(tt, pointee).max(1);
-                    let size = (size + 7) & !7;
-                    let rc = self.reg_of(ops[0], G1);
-                    self.mat_const(size, G2);
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Mul,
-                        rs1: rc,
-                        rhs: RegOrImm::Reg(G2),
-                        rd: G1,
-                        trapping: false,
-                    });
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Sub,
-                        rs1: SP,
-                        rhs: RegOrImm::Reg(G1),
-                        rd: SP,
-                        trapping: false,
-                    });
-                    self.mov(rd, SP);
-                }
-                self.finish_dst(rd, spill);
-            }
-            Opcode::Cast => self.emit_cast(inst_id, ops[0], inst.result_type()),
-            Opcode::Phi => {
-                let off = self.staging[&inst_id];
-                let (rd, spill) = self.dst_of(inst_id, G3);
-                let (base, o) = self.fp_mem(off);
-                self.emit(SparcInst::Ld {
-                    rd,
-                    rs1: base,
-                    off: o,
-                    width: llva_machine::Width::B8,
-                    signed: false,
-                });
-                self.finish_dst(rd, spill);
-            }
-            _ => unreachable!("all opcodes covered"),
-        }
-    }
-
-    fn emit_call(
-        &mut self,
-        block: BlockId,
-        inst_id: InstId,
-        op: Opcode,
-        ops: &[ValueId],
-        blocks: &[BlockId],
-    ) {
-        let args = &ops[1..];
-        for (i, &a) in args.iter().take(6).enumerate() {
-            let dst = Reg(8 + i as u8);
-            match classify(self.module, self.vty(a)) {
-                ValClass::Int => {
-                    let r = self.reg_of(a, dst);
-                    self.mov(dst, r);
-                }
-                _ => {
-                    self.freg_of(a, FReg(0));
-                    self.emit(SparcInst::MovGF(dst, FReg(0)));
-                }
-            }
-        }
-        for (j, &a) in args.iter().skip(6).enumerate() {
-            let r = self.reg_of(a, G1);
-            self.emit(SparcInst::St {
-                rs: r,
-                rs1: SP,
-                off: RegOrImm::Imm((8 * j) as i16),
-                width: llva_machine::Width::B8,
-            });
-        }
-        let call_idx = self.code.len();
-        if let Some(intr) = intrinsic_target(self.module, self.func, ops[0]) {
-            self.emit(SparcInst::CallIntrinsic {
-                which: intr,
-                nargs: args.len().min(6) as u8,
-            });
-        } else if let Some(Constant::FunctionAddr { func, .. }) = self.func.value_as_const(ops[0])
-        {
-            self.emit(SparcInst::Call {
-                func: func.index() as u32,
-                unwind: None,
-            });
-        } else {
-            let r = self.reg_of(ops[0], G1);
-            self.emit(SparcInst::CallIndirect {
-                rs: r,
-                unwind: None,
-            });
-        }
-        if let Some(result) = self.func.inst_result(inst_id) {
-            match classify(self.module, self.func.inst(inst_id).result_type()) {
-                ValClass::Int => match self.locs[&result] {
-                    Loc::Reg(r) => self.mov(r, O0),
-                    Loc::Slot(off) => {
-                        let (base, o) = self.fp_mem(off);
-                        self.emit(SparcInst::St {
-                            rs: O0,
-                            rs1: base,
-                            off: o,
-                            width: llva_machine::Width::B8,
-                        });
-                    }
-                },
-                _ => {
-                    self.emit(SparcInst::MovFG(FReg(0), O0));
-                    self.fstore_result(inst_id, FReg(0));
-                }
-            }
-        }
-        if op == Opcode::Invoke {
-            self.emit_phi_copies(block, blocks[0]);
-            self.jump(blocks[0]);
-            let pad = self.code.len() as u32;
-            self.emit_phi_copies(block, blocks[1]);
-            self.jump(blocks[1]);
-            match &mut self.code[call_idx] {
-                SparcInst::Call { unwind, .. } | SparcInst::CallIndirect { unwind, .. } => {
-                    *unwind = Some(pad);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn emit_gep(&mut self, inst_id: InstId, ops: &[ValueId]) {
-        let tt = self.module.types();
-        let cfg = self.module.target();
-        let base = self.reg_of(ops[0], G1);
-        self.mov(G1, base);
-        let mut cur = tt.pointee(self.vty(ops[0])).expect("pointer");
-        let mut static_off: i64 = 0;
-        for (i, &idx) in ops[1..].iter().enumerate() {
-            let elem_size = if i == 0 {
-                cfg.size_of(tt, cur)
-            } else {
-                match tt.kind(cur).clone() {
-                    TypeKind::Array { elem, .. } => {
-                        let s = cfg.size_of(tt, elem);
-                        cur = elem;
-                        s
-                    }
-                    TypeKind::LiteralStruct(_) | TypeKind::Struct(_) => {
-                        let field = self
-                            .func
-                            .value_as_const(idx)
-                            .and_then(Constant::as_int_bits)
-                            .expect("struct index constant")
-                            as usize;
-                        static_off += cfg.field_offset(tt, cur, field) as i64;
-                        cur = tt.struct_fields(cur).expect("defined")[field];
-                        continue;
-                    }
-                    other => panic!("gep into {other:?}"),
-                }
-            };
-            if let Some(k) = self
-                .func
-                .value_as_const(idx)
-                .map(|c| canonical_const(self.module, c) as i64)
-            {
-                static_off += k * elem_size as i64;
-            } else {
-                let ri = self.reg_of(idx, G2);
-                if elem_size.is_power_of_two() {
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Sll,
-                        rs1: ri,
-                        rhs: RegOrImm::Imm(elem_size.trailing_zeros() as i16),
-                        rd: G2,
-                        trapping: false,
-                    });
-                } else {
-                    self.mat_const(elem_size, G3);
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Mul,
-                        rs1: ri,
-                        rhs: RegOrImm::Reg(G3),
-                        rd: G2,
-                        trapping: false,
-                    });
-                }
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Add,
-                    rs1: G1,
-                    rhs: RegOrImm::Reg(G2),
-                    rd: G1,
-                    trapping: false,
-                });
-            }
-        }
-        let (rd, spill) = self.dst_of(inst_id, G3);
-        if static_off != 0 {
-            if fits_imm13(static_off) {
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Add,
-                    rs1: G1,
-                    rhs: RegOrImm::Imm(static_off as i16),
-                    rd,
-                    trapping: false,
-                });
-            } else {
-                self.mat_const(static_off as u64, G4);
-                self.emit(SparcInst::Alu {
-                    op: AluOp::Add,
-                    rs1: G1,
-                    rhs: RegOrImm::Reg(G4),
-                    rd,
-                    trapping: false,
-                });
-            }
-        } else {
-            self.mov(rd, G1);
-        }
-        self.finish_dst(rd, spill);
-    }
-
-    fn emit_cast(&mut self, inst_id: InstId, src: ValueId, to: TypeId) {
-        let tt = self.module.types();
-        let from = self.vty(src);
-        let from_class = classify(self.module, from);
-        let to_class = classify(self.module, to);
-        match (from_class, to_class) {
-            (ValClass::Int, ValClass::Int) => {
-                let rs = self.reg_of(src, G1);
-                let (rd, spill) = self.dst_of(inst_id, G3);
-                if matches!(tt.kind(to), TypeKind::Bool) {
-                    self.emit(SparcInst::Cmp {
-                        rs1: rs,
-                        rhs: RegOrImm::Imm(0),
-                    });
-                    self.mov(rd, G0);
-                    let skip = self.code.len() as u32 + 2;
-                    self.emit(SparcInst::Br {
-                        cond: Cond::E,
-                        target: skip,
-                    });
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Or,
-                        rs1: G0,
-                        rhs: RegOrImm::Imm(1),
-                        rd,
-                        trapping: false,
-                    });
-                } else {
-                    self.mov(rd, rs);
-                    self.normalize(rd, to);
-                }
-                self.finish_dst(rd, spill);
-            }
-            (ValClass::Int, fc) => {
-                let rs = self.reg_of(src, G1);
-                self.emit(SparcInst::CvtIF {
-                    fd: FReg(0),
-                    rs,
-                    to32: fc == ValClass::F32,
-                    signed: tt.is_signed_integer(from) || matches!(tt.kind(from), TypeKind::Bool),
-                });
-                self.fstore_result(inst_id, FReg(0));
-            }
-            (fc, ValClass::Int) => {
-                self.freg_of(src, FReg(0));
-                let (rd, spill) = self.dst_of(inst_id, G3);
-                if matches!(tt.kind(to), TypeKind::Bool) {
-                    self.emit(SparcInst::MovFG(FReg(1), G0));
-                    self.emit(SparcInst::FCmp {
-                        fs1: FReg(0),
-                        fs2: FReg(1),
-                        is32: fc == ValClass::F32,
-                    });
-                    self.mov(rd, G0);
-                    let skip = self.code.len() as u32 + 2;
-                    self.emit(SparcInst::Br {
-                        cond: Cond::E,
-                        target: skip,
-                    });
-                    self.emit(SparcInst::Alu {
-                        op: AluOp::Or,
-                        rs1: G0,
-                        rhs: RegOrImm::Imm(1),
-                        rd,
-                        trapping: false,
-                    });
-                } else {
-                    self.emit(SparcInst::CvtFI {
-                        rd,
-                        fs: FReg(0),
-                        from32: fc == ValClass::F32,
-                        signed: tt.is_signed_integer(to),
-                    });
-                    self.normalize(rd, to);
-                }
-                self.finish_dst(rd, spill);
-            }
-            (fa, fb) => {
-                self.freg_of(src, FReg(0));
-                if fa != fb {
-                    self.emit(SparcInst::CvtFF {
-                        fd: FReg(0),
-                        fs: FReg(0),
-                        to32: fb == ValClass::F32,
-                    });
-                }
-                self.fstore_result(inst_id, FReg(0));
-            }
-        }
+/// Normalizes `r` to the canonical form of a narrow integer type with a
+/// shift pair.
+fn normalize(e: &mut E, r: Reg, ty: TypeId) {
+    if let Some(w) = e.types().int_bits(ty).filter(|&w| w < 64) {
+        let sh = i64::from(64 - w.max(8));
+        let down = if e.signed(ty) { AluOp::Sra } else { AluOp::Srl };
+        e.push(alu(AluOp::Sll, r, imm(sh), r));
+        e.push(alu(down, r, imm(sh), r));
     }
 }
 
@@ -1261,6 +135,451 @@ fn invert(c: Cond) -> Cond {
         Cond::Gu => Cond::Leu,
         Cond::Leu => Cond::Gu,
         Cond::Geu => Cond::Lu,
+    }
+}
+
+/// `rd := cond ? 1 : 0` over the current condition codes.
+fn set_if(e: &mut E, cond: Cond, rd: Reg) {
+    Sparc::mov(e, rd, G0);
+    let skip = e.code.len() as u32 + 2;
+    e.push(SparcInst::Br {
+        cond: invert(cond),
+        target: skip,
+    });
+    e.push(alu(AluOp::Or, G0, imm(1), rd));
+}
+
+/// Emits the condition-code-setting compare of a `set*` instruction
+/// and returns the condition its result is.
+fn compare(e: &mut E, cmp: InstId) -> Cond {
+    let inst = e.func.inst(cmp);
+    let (a, b) = (inst.operands()[0], inst.operands()[1]);
+    let ty = e.vty(a);
+    match e.class(ty) {
+        ValClass::Int => {
+            let ra = e.read(a, G1);
+            let rb = rhs(e, b, G2);
+            e.push(SparcInst::Cmp { rs1: ra, rhs: rb });
+        }
+        class => {
+            e.fload(a, F0);
+            e.fload(b, F1);
+            e.push(SparcInst::FCmp {
+                fs1: F0,
+                fs2: F1,
+                is32: class == ValClass::F32,
+            });
+        }
+    }
+    let signed = e.signed(ty) || e.types().is_float(ty);
+    match (inst.opcode(), signed) {
+        (Opcode::SetEq, _) => Cond::E,
+        (Opcode::SetNe, _) => Cond::Ne,
+        (Opcode::SetLt, true) => Cond::L,
+        (Opcode::SetLt, false) => Cond::Lu,
+        (Opcode::SetGt, true) => Cond::G,
+        (Opcode::SetGt, false) => Cond::Gu,
+        (Opcode::SetLe, true) => Cond::Le,
+        (Opcode::SetLe, false) => Cond::Leu,
+        (Opcode::SetGe, true) => Cond::Ge,
+        (Opcode::SetGe, false) => Cond::Geu,
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+impl Target for Sparc {
+    type Inst = SparcInst;
+    type Reg = Reg;
+    type FReg = FReg;
+    type Lens = SparcPeep;
+
+    /// `%l0..%l7`, `%i0..%i5`.
+    const ALLOCATABLE: &'static [Reg] = &[
+        Reg(16),
+        Reg(17),
+        Reg(18),
+        Reg(19),
+        Reg(20),
+        Reg(21),
+        Reg(22),
+        Reg(23),
+        Reg(24),
+        Reg(25),
+        Reg(26),
+        Reg(27),
+        Reg(28),
+        Reg(29),
+    ];
+    const POLICY: Policy = Policy {
+        promote: Some((0, 0)),
+        home_fused: true,
+        frame_base: 8,
+    };
+    const ARG_REGS: usize = 6;
+    const ZERO: Option<Reg> = Some(G0);
+    const SCRATCH: [Reg; 2] = [G1, G2];
+    const RESULT: Reg = G3;
+    const LOAD_RESULT: Reg = G3;
+    const CALLEE: Reg = G1;
+    const RET: Reg = O0;
+    const F: [FReg; 3] = [F0, F1, FReg(2)];
+    const FLOAT_RESULT_IN_GPR: bool = true;
+
+    fn mov(e: &mut E, dst: Reg, src: Reg) {
+        if dst != src {
+            e.push(alu(AluOp::Or, src, imm(0), dst));
+        }
+    }
+
+    fn mat_const(e: &mut E, bits: u64, dst: Reg) {
+        let v = bits as i64;
+        if v == 0 {
+            Self::mov(e, dst, G0);
+            return;
+        }
+        if fits_imm13(v) {
+            e.push(alu(AluOp::Or, G0, imm(v), dst));
+            return;
+        }
+        let low32 = bits & 0xFFFF_FFFF;
+        let high32 = bits >> 32;
+        e.push(SparcInst::Sethi {
+            imm22: (low32 >> 10) as u32,
+            rd: dst,
+        });
+        if low32 & 0x3FF != 0 {
+            e.push(alu(AluOp::Or, dst, imm((low32 & 0x3FF) as i64), dst));
+        }
+        if high32 == 0xFFFF_FFFF {
+            e.push(alu(AluOp::Sll, dst, imm(32), dst));
+            e.push(alu(AluOp::Sra, dst, imm(32), dst));
+        } else if high32 != 0 {
+            e.push(SparcInst::Sethi {
+                imm22: (high32 >> 10) as u32,
+                rd: G4,
+            });
+            if high32 & 0x3FF != 0 {
+                e.push(alu(AluOp::Or, G4, imm((high32 & 0x3FF) as i64), G4));
+            }
+            e.push(alu(AluOp::Sll, G4, imm(32), G4));
+            e.push(alu(AluOp::Or, dst, RegOrImm::Reg(G4), dst));
+        }
+    }
+
+    fn load_to(e: &mut E, v: ValueId, dst: Reg) {
+        let r = e.read(v, G1);
+        Self::mov(e, dst, r);
+    }
+
+    fn load_slot(e: &mut E, r: Reg, off: i32) {
+        let (base, o) = fp_mem(e, off);
+        e.push(ld(r, base, o));
+    }
+
+    fn store_slot(e: &mut E, r: Reg, off: i32) {
+        let (base, o) = fp_mem(e, off);
+        e.push(st(r, base, o));
+    }
+
+    fn fload_slot(e: &mut E, f: FReg, off: i32) {
+        let (rs1, off) = fp_mem(e, off);
+        e.push(SparcInst::LdF {
+            fd: f,
+            rs1,
+            off,
+            is32: false,
+        });
+    }
+
+    fn fstore_slot(e: &mut E, f: FReg, off: i32) {
+        let (rs1, off) = fp_mem(e, off);
+        e.push(SparcInst::StF {
+            fs: f,
+            rs1,
+            off,
+            is32: false,
+        });
+    }
+
+    fn mov_sym(rd: Reg, sym: Sym) -> SparcInst {
+        SparcInst::MovSym { rd, sym }
+    }
+
+    fn mov_fg(f: FReg, r: Reg) -> SparcInst {
+        SparcInst::MovFG(f, r)
+    }
+
+    fn mov_gf(r: Reg, f: FReg) -> SparcInst {
+        SparcInst::MovGF(r, f)
+    }
+
+    fn load(rd: Reg, rs1: Reg, width: Width, signed: bool) -> SparcInst {
+        SparcInst::Ld {
+            rd,
+            rs1,
+            off: imm(0),
+            width,
+            signed,
+        }
+    }
+
+    fn store(rs: Reg, rs1: Reg, width: Width) -> SparcInst {
+        SparcInst::St {
+            rs,
+            rs1,
+            off: imm(0),
+            width,
+        }
+    }
+
+    fn fload(fd: FReg, rs1: Reg, is32: bool) -> SparcInst {
+        SparcInst::LdF {
+            fd,
+            rs1,
+            off: imm(0),
+            is32,
+        }
+    }
+
+    fn jump() -> SparcInst {
+        SparcInst::Ba { target: 0 }
+    }
+
+    fn unwind() -> SparcInst {
+        SparcInst::Unwind
+    }
+
+    fn prologue(e: &mut E) {
+        let frame = (e.frame.size + e.frame.out_area + 15) & !15;
+        // %g1 = old %sp; the caller's %fp is saved at [%g1 - 8]
+        Self::mov(e, G1, SP);
+        alu_imm(e, AluOp::Sub, SP, i64::from(frame), SP, G2);
+        e.push(st(FP, G1, imm(-8)));
+        Self::mov(e, FP, G1);
+        for (r, off) in e.frame.saves.clone() {
+            Self::store_slot(e, r, off);
+        }
+        // move incoming arguments to their homes
+        let func = e.func;
+        for (i, &a) in func.args().iter().enumerate() {
+            let src = if i < Self::ARG_REGS {
+                Reg(8 + i as u8)
+            } else {
+                e.push(ld(G1, FP, imm(8 * (i as i64 - 6))));
+                G1
+            };
+            match e.frame.loc(a) {
+                lower::Loc::Reg(r) => Self::mov(e, r, src),
+                lower::Loc::Slot(off) => Self::store_slot(e, src, off),
+            }
+        }
+    }
+
+    fn epilogue(e: &mut E) {
+        for (r, off) in e.frame.saves.clone() {
+            Self::load_slot(e, r, off);
+        }
+        e.push(ld(G1, FP, imm(-8)));
+        Self::mov(e, SP, FP);
+        Self::mov(e, FP, G1);
+        e.push(SparcInst::Ret);
+    }
+
+    fn frame_addr(e: &mut E, rd: Reg, off: i32) {
+        alu_imm(e, AluOp::Add, FP, i64::from(off), rd, G4);
+    }
+
+    fn stack_alloc(e: &mut E, rd: Reg, count: ValueId, size: u64) {
+        let rc = e.read(count, G1);
+        Self::mat_const(e, size, G2);
+        e.push(alu(AluOp::Mul, rc, RegOrImm::Reg(G2), G1));
+        e.push(alu(AluOp::Sub, SP, RegOrImm::Reg(G1), SP));
+        Self::mov(e, rd, SP);
+    }
+
+    fn pass_args(e: &mut E, args: &[ValueId]) {
+        for (i, &a) in args.iter().enumerate() {
+            if i < Self::ARG_REGS {
+                let dst = Reg(8 + i as u8);
+                if e.class(e.vty(a)) == ValClass::Int {
+                    let r = e.read(a, dst);
+                    Self::mov(e, dst, r);
+                } else {
+                    e.fload(a, F0);
+                    e.push(SparcInst::MovGF(dst, F0));
+                }
+            } else {
+                let r = e.read(a, G1);
+                e.push(st(r, SP, imm(8 * (i - Self::ARG_REGS) as i64)));
+            }
+        }
+    }
+
+    fn call(callee: Callee<Reg>, nargs: usize, unwind: Option<u32>) -> SparcInst {
+        match callee {
+            Callee::Intrinsic(which) => SparcInst::CallIntrinsic {
+                which,
+                nargs: nargs.min(Self::ARG_REGS) as u8,
+            },
+            Callee::Direct(func) => SparcInst::Call { func, unwind },
+            Callee::Indirect(rs) => SparcInst::CallIndirect { rs, unwind },
+        }
+    }
+
+    fn int_binary(e: &mut E, id: InstId, op: Opcode, ops: &[ValueId], ty: TypeId, trapping: bool) {
+        let signed = e.signed(ty);
+        let alu_op = match (op, signed) {
+            (Opcode::Add, _) => AluOp::Add,
+            (Opcode::Sub, _) => AluOp::Sub,
+            (Opcode::Mul, _) => AluOp::Mul,
+            (Opcode::Div, true) => AluOp::Sdiv,
+            (Opcode::Div, false) => AluOp::Udiv,
+            (Opcode::Rem, true) => AluOp::Srem,
+            (Opcode::Rem, false) => AluOp::Urem,
+            (Opcode::And, _) => AluOp::And,
+            (Opcode::Or, _) => AluOp::Or,
+            (Opcode::Xor, _) => AluOp::Xor,
+            (Opcode::Shl, _) => AluOp::Sll,
+            (Opcode::Shr, true) => AluOp::Sra,
+            (Opcode::Shr, false) => AluOp::Srl,
+            _ => unreachable!("not an integer binary operator"),
+        };
+        let ra = e.read(ops[0], G1);
+        let rb = rhs(e, ops[1], G2);
+        let rd = e.dst(id, G3);
+        e.push(SparcInst::Alu {
+            op: alu_op,
+            rs1: ra,
+            rhs: rb,
+            rd,
+            trapping,
+        });
+        if matches!(
+            op,
+            Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Shl | Opcode::Div | Opcode::Rem
+        ) {
+            normalize(e, rd, ty);
+        }
+        e.finish(id, rd);
+    }
+
+    fn falu(e: &mut E, op: FpOp, fd: FReg, fs1: FReg, fs2: FReg, is32: bool) {
+        e.push(SparcInst::FAlu {
+            op,
+            fs1,
+            fs2,
+            fd,
+            is32,
+        });
+    }
+
+    fn cvt_if(fd: FReg, rs: Reg, to32: bool, signed: bool) -> SparcInst {
+        SparcInst::CvtIF {
+            fd,
+            rs,
+            to32,
+            signed,
+        }
+    }
+
+    fn cvt_fi(rd: Reg, fs: FReg, from32: bool, signed: bool) -> SparcInst {
+        SparcInst::CvtFI {
+            rd,
+            fs,
+            from32,
+            signed,
+        }
+    }
+
+    fn cvt_ff(fd: FReg, fs: FReg, to32: bool) -> SparcInst {
+        SparcInst::CvtFF { fd, fs, to32 }
+    }
+
+    fn extend(e: &mut E, r: Reg, ty: TypeId) {
+        normalize(e, r, ty);
+    }
+
+    fn int_to_bool(e: &mut E, src: ValueId, rd: Reg) {
+        let rs = e.read(src, G1);
+        e.push(SparcInst::Cmp {
+            rs1: rs,
+            rhs: imm(0),
+        });
+        set_if(e, Cond::Ne, rd);
+    }
+
+    fn float_to_bool(e: &mut E, rd: Reg, is32: bool) {
+        e.push(SparcInst::MovFG(F1, G0));
+        e.push(SparcInst::FCmp {
+            fs1: F0,
+            fs2: F1,
+            is32,
+        });
+        set_if(e, Cond::Ne, rd);
+    }
+
+    fn set_cond(e: &mut E, cmp: InstId, rd: Reg) {
+        let cond = compare(e, cmp);
+        set_if(e, cond, rd);
+    }
+
+    fn branch_if(e: &mut E, cond: ValueId, fused: Option<InstId>, target: BlockId) {
+        let cc = match fused {
+            Some(cmp) => compare(e, cmp),
+            None => {
+                let r = e.read(cond, G1);
+                e.push(SparcInst::Cmp {
+                    rs1: r,
+                    rhs: imm(0),
+                });
+                Cond::Ne
+            }
+        };
+        e.branch(
+            SparcInst::Br {
+                cond: cc,
+                target: 0,
+            },
+            target,
+        );
+    }
+
+    fn branch_eq(e: &mut E, r: Reg, case: ValueId, target: BlockId) {
+        let rb = rhs(e, case, G2);
+        e.push(SparcInst::Cmp { rs1: r, rhs: rb });
+        e.branch(
+            SparcInst::Br {
+                cond: Cond::E,
+                target: 0,
+            },
+            target,
+        );
+    }
+
+    fn gep(e: &mut E, id: InstId, base: ValueId, offset: i64, dynamic: &[(ValueId, u64)]) {
+        Self::load_to(e, base, G1);
+        for &(idx, size) in dynamic {
+            let ri = e.read(idx, G2);
+            if size.is_power_of_two() {
+                e.push(alu(
+                    AluOp::Sll,
+                    ri,
+                    imm(i64::from(size.trailing_zeros())),
+                    G2,
+                ));
+            } else {
+                Self::mat_const(e, size, G3);
+                e.push(alu(AluOp::Mul, ri, RegOrImm::Reg(G3), G2));
+            }
+            e.push(alu(AluOp::Add, G1, RegOrImm::Reg(G2), G1));
+        }
+        let rd = e.dst(id, G3);
+        if offset != 0 {
+            alu_imm(e, AluOp::Add, G1, offset, rd, G4);
+        } else {
+            Self::mov(e, rd, G1);
+        }
+        e.finish(id, rd);
     }
 }
 

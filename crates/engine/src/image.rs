@@ -1499,7 +1499,7 @@ pub fn repair_image(bytes: &[u8]) -> Result<(Vec<u8>, Vec<SectionKind>)> {
     let module = image.decode_module()?; // bytecode must survive
     let mut rebuilt = Vec::new();
     let mut builder = ImageBuilder::new(&module);
-    let peep = PeepholeConfig::from_env();
+    let peep = PeepholeConfig::on();
     for kind in image.sections() {
         match kind {
             SectionKind::Bytecode => {} // the builder re-encoded it

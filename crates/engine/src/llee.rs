@@ -462,7 +462,7 @@ impl ExecutionManager {
 
     /// Creates a manager with a custom memory size.
     pub fn with_memory_size(module: Module, isa: TargetIsa, mem_size: u64) -> ExecutionManager {
-        let mut mgr = ExecutionManager::parked(module, isa, mem_size, PeepholeConfig::from_env());
+        let mut mgr = ExecutionManager::parked(module, isa, mem_size);
         mgr.start_process();
         mgr
     }
@@ -470,12 +470,7 @@ impl ExecutionManager {
     /// A manager holding code state only — no process has been started
     /// on it, so it owns no simulated memory yet (see
     /// [`Self::start_process`]).
-    pub(crate) fn parked(
-        mut module: Module,
-        isa: TargetIsa,
-        mem_size: u64,
-        peephole: PeepholeConfig,
-    ) -> ExecutionManager {
+    pub(crate) fn parked(mut module: Module, isa: TargetIsa, mem_size: u64) -> ExecutionManager {
         // the module's target flags must match the processor (§3.2)
         let target = isa.target_config();
         module.set_target(target);
@@ -511,7 +506,7 @@ impl ExecutionManager {
             func_cache,
             func_names,
             fuel: 10_000_000_000,
-            peephole,
+            peephole: PeepholeConfig::on(),
             image: None,
             global_image: image.image,
             heap_base: image.heap_base,

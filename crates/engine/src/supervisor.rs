@@ -43,7 +43,6 @@ use crate::predecode::FastInterpreter;
 use crate::traced::TraceConfig;
 use crate::storage::Storage;
 use crate::InterpError;
-use llva_backend::PeepholeConfig;
 use llva_core::module::Module;
 use llva_machine::common::TrapKind;
 use std::cell::Cell;
@@ -530,8 +529,6 @@ pub struct Supervisor {
     /// Storage waiting for a manager to own it, and the cache it names.
     storage: Option<Box<dyn Storage>>,
     cache_name: String,
-    /// Read from the environment once, here, not per manager.
-    peephole: PeepholeConfig,
     quarantine: BTreeSet<(String, Tier)>,
     fault_counts: BTreeMap<(String, Tier), u32>,
     probe_successes: BTreeMap<(String, Tier), u32>,
@@ -584,7 +581,6 @@ impl Supervisor {
             manager: None,
             storage: None,
             cache_name: String::new(),
-            peephole: PeepholeConfig::from_env(),
             quarantine: BTreeSet::new(),
             fault_counts: BTreeMap::new(),
             probe_successes: BTreeMap::new(),
@@ -991,12 +987,8 @@ impl Supervisor {
     /// and image attached so far) if there is none.
     fn resident_manager(&mut self) -> &mut ExecutionManager {
         self.manager.get_or_insert_with(|| {
-            let mut mgr = ExecutionManager::parked(
-                self.module.clone(),
-                self.isa,
-                self.memory_size,
-                self.peephole,
-            );
+            let mut mgr =
+                ExecutionManager::parked(self.module.clone(), self.isa, self.memory_size);
             if let Some(storage) = self.storage.take() {
                 mgr.set_storage(storage, &self.cache_name);
             }

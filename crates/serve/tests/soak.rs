@@ -144,7 +144,10 @@ fn victim_sabotage_never_touches_healthy_tenants() {
                                 kind: QuotaKind::Fuel,
                                 ..
                             }) => *rejected += 1,
-                            Err(ServeError::TiersExhausted { .. }) if kills_all_tiers => {}
+                            // with every tier dead, repeated exhaustion opens
+                            // the caller-side breaker
+                            Err(ServeError::TiersExhausted { .. } | ServeError::BreakerOpen { .. })
+                                if kills_all_tiers => {}
                             Err(e) => panic!("seed {seed} round {round}: victim: {e}"),
                         }
                     }

@@ -9,11 +9,17 @@
 //! iteration order shows up as a byte difference, named with the pass
 //! and the program. Inputs are the 17 Table 2 programs, compiled from
 //! source on every build, and 32 generated modules.
+//!
+//! The translators are a function of the bytecode: native code for the
+//! optimised module in memory equals native code for the same module
+//! decoded from its encoding, whose value numbering is canonical.
 
 use llva::conform::gen::{generate, GenConfig};
-use llva::core::bytecode::encode_module;
+use llva::core::bytecode::{decode_module, encode_module};
 use llva::core::layout::TargetConfig;
 use llva::core::module::Module;
+use llva::engine::codec;
+use llva::engine::llee::TargetIsa;
 
 const BUILDS: usize = 3;
 
@@ -55,18 +61,70 @@ fn table2_programs_build_to_the_same_bytes_after_every_pass() {
     }
 }
 
+/// Large enough for nested loops, several helpers and memory traffic.
+const GEN: GenConfig = GenConfig {
+    max_helpers: 6,
+    max_steps: 60,
+    num_globals: 6,
+    array_len: 32,
+    num_slots: 4,
+};
+
 #[test]
 fn generated_modules_build_to_the_same_bytes_after_every_pass() {
-    // large enough for nested loops, several helpers and memory traffic
-    let cfg = GenConfig {
-        max_helpers: 6,
-        max_steps: 60,
-        num_globals: 6,
-        array_len: 32,
-        num_slots: 4,
-    };
     for seed in 0..32 {
-        let tc = generate(seed, &cfg);
+        let tc = generate(seed, &GEN);
         assert_deterministic(&format!("seed {seed}"), &tc.entry, || tc.module.clone());
     }
+}
+
+/// Every defined function of `module` translated for `isa`, encoded.
+fn native(module: &Module, isa: TargetIsa) -> Vec<Vec<u8>> {
+    let mut m = module.clone();
+    m.set_target(isa.target_config());
+    m.functions()
+        .filter(|(_, f)| !f.is_declaration())
+        .map(|(fid, _)| match isa {
+            TargetIsa::X86 => codec::encode_x86(&llva::backend::compile_x86(&m, fid)),
+            TargetIsa::Sparc => codec::encode_sparc(&llva::backend::compile_sparc(&m, fid)),
+            TargetIsa::Riscv => codec::encode_riscv(&llva::backend::compile_riscv(&m, fid)),
+        })
+        .collect()
+}
+
+#[test]
+fn native_code_is_a_function_of_the_bytecode() {
+    let mut modules: Vec<(String, Module)> = llva::workloads::all()
+        .iter()
+        .map(|w| {
+            let mut m = llva::minic::compile(w.source, w.name, TargetConfig::default())
+                .unwrap_or_else(|e| panic!("{} does not compile: {e}", w.name));
+            llva::opt::link_time_pipeline(&["main"]).run(&mut m);
+            (w.name.to_string(), m)
+        })
+        .collect();
+    for seed in 0..32 {
+        let tc = generate(seed, &GEN);
+        let mut m = tc.module;
+        llva::opt::link_time_pipeline(&[tc.entry.as_str()]).run(&mut m);
+        modules.push((format!("seed {seed}"), m));
+    }
+    let mut differ = Vec::new();
+    let mut pairs = 0;
+    for (name, m) in &modules {
+        let decoded = decode_module(&encode_module(m)).expect("own encoding decodes");
+        for isa in TargetIsa::ALL {
+            pairs += 1;
+            if native(m, isa) != native(&decoded, isa) {
+                differ.push(format!("{name} on {isa}"));
+            }
+        }
+    }
+    assert_eq!(pairs, 147);
+    assert!(
+        differ.is_empty(),
+        "{} of {pairs} translations differ from the decoded module's: {}",
+        differ.len(),
+        differ.join(", ")
+    );
 }

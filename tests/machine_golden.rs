@@ -37,128 +37,13 @@ const LAUNCH: [&str; 6] = [
     "ptrdist-anagram",
 ];
 
-const TRAPS: &str = r#"
-declare int %llva.io.putchar(int)
-
-int %divide(int %a, int %b) {
-entry:
-    %q = div int %a, %b
-    ret int %q
-}
-
-int %div_by_zero(int %x) {
-entry:
-    %y = add int %x, 1
-    %r = call int %divide(int %y, int 0)
-    ret int %r
-}
-
-int %null_load(int %x) {
-entry:
-    %p = cast long 0 to int*
-    %v = load int* %p
-    %r = add int %v, %x
-    ret int %r
-}
-
-void %throw(int %x) {
-entry:
-    unwind
-}
-
-int %unhandled_unwind(int %x) {
-entry:
-    call void %throw(int %x)
-    ret int 1
-}
-
-int %bad_function_pointer(int %x) {
-entry:
-    %f = cast int %x to int ()*
-    %r = call int %f()
-    ret int %r
-}
-
-int %intrinsics(int %x) {
-entry:
-    %a = call int %llva.io.putchar(int 104)
-    %b = call int %llva.io.putchar(int 105)
-    %c = add int %a, %b
-    %r = add int %c, %x
-    ret int %r
-}
-
-int %spin(int %x) {
-entry:
-    br label %loop
-loop:
-    %i = phi int [ %x, %entry ], [ %j, %loop ]
-    %j = add int %i, 1
-    br label %loop
-}
-"#;
+/// Traps of every kind, an intrinsic call and an endless loop.
+const TRAPS: &str = include_str!("golden/traps.ll");
 
 /// `main` keeps values live across an `invoke`; `mid` keeps its own
 /// across a plain call; `clobber` overwrites whatever registers its
 /// arithmetic needs, then unwinds past `mid` to `main`'s landing pad.
-const INVOKE: &str = r#"
-long %leaf(long %x) {
-entry:
-    %y = mul long %x, 7
-    ret long %y
-}
-
-long %clobber(long %x) {
-entry:
-    %a = mul long %x, 3
-    %b = add long %a, 7
-    %c = xor long %b, 91
-    %d = sub long %c, %a
-    %e = mul long %d, %b
-    %f = add long %e, %c
-    %g = call long %leaf(long %f)
-    %h = add long %a, %b
-    %i = add long %h, %c
-    %j = add long %i, %d
-    %k = add long %j, %e
-    %l = add long %k, %f
-    %m = add long %l, %g
-    %t = setne long %m, 12345
-    br bool %t, label %boom, label %ok
-boom:
-    unwind
-ok:
-    ret long %m
-}
-
-long %mid(long %x) {
-entry:
-    %p = add long %x, 5
-    %q = mul long %p, 9
-    %r = call long %clobber(long %q)
-    %s = add long %r, %p
-    %u = add long %s, %q
-    ret long %u
-}
-
-long %main(long %x) {
-entry:
-    %a = add long %x, 11
-    %b = mul long %x, 13
-    %c = xor long %x, 17
-    %d = sub long %a, %b
-    %e = mul long %c, %d
-    %r = invoke long %mid(long %x) to label %fine unwind label %caught
-fine:
-    ret long %r
-caught:
-    %s1 = add long %a, %b
-    %s2 = mul long %s1, %c
-    %s3 = sub long %s2, %d
-    %s4 = xor long %s3, %e
-    ret long %s4
-}
-"#;
+const INVOKE: &str = include_str!("golden/invoke.ll");
 
 fn roundtrip(module: &Module) -> Module {
     decode_module(&encode_module(module)).expect("own encoding decodes")
