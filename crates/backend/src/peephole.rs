@@ -299,17 +299,7 @@ mod x86_lens {
             }
         }
     }
-
-    /// The pass specialized to x86 streams.
-    pub fn run_x86(
-        code: Vec<X86Inst>,
-        cfg: &PeepholeConfig,
-    ) -> Vec<X86Inst> {
-        super::run::<X86Peep>(code, cfg).0
-    }
 }
-
-pub use x86_lens::run_x86;
 
 // ---------------------------------------------------------------------------
 // SPARC lens
@@ -435,17 +425,7 @@ mod sparc_lens {
             }
         }
     }
-
-    /// The pass specialized to SPARC streams.
-    pub fn run_sparc(
-        code: Vec<SparcInst>,
-        cfg: &PeepholeConfig,
-    ) -> Vec<SparcInst> {
-        super::run::<SparcPeep>(code, cfg).0
-    }
 }
-
-pub use sparc_lens::run_sparc;
 
 // ---------------------------------------------------------------------------
 // RISC-V lens
@@ -561,17 +541,7 @@ mod riscv_lens {
             }
         }
     }
-
-    /// The pass specialized to RV64 streams.
-    pub fn run_riscv(
-        code: Vec<RiscvInst>,
-        cfg: &PeepholeConfig,
-    ) -> Vec<RiscvInst> {
-        super::run::<RiscvPeep>(code, cfg).0
-    }
 }
-
-pub use riscv_lens::run_riscv;
 
 #[cfg(test)]
 mod tests {

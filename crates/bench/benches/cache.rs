@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use llva_core::layout::TargetConfig;
 use llva_engine::llee::{ExecutionManager, TargetIsa};
 use llva_engine::storage::{MemStorage, SharedStorage, Storage};
+use llva_machine::x86::X86Inst;
 
 fn bench_startup(c: &mut Criterion) {
     let mut group = c.benchmark_group("startup");
@@ -62,12 +63,12 @@ fn bench_codec(c: &mut Criterion) {
     let m = w.compile(TargetConfig::ia32());
     let f = m.function_by_name("main").expect("main");
     let code = llva_backend::compile_x86(&m, f);
-    let blob = llva_engine::codec::encode_x86(&code);
+    let blob = llva_machine::codec::encode(&code);
     group.bench_function("encode_x86", |b| {
-        b.iter(|| llva_engine::codec::encode_x86(&code));
+        b.iter(|| llva_machine::codec::encode(&code));
     });
     group.bench_function("decode_x86", |b| {
-        b.iter(|| llva_engine::codec::decode_x86(&blob).expect("decodes"));
+        b.iter(|| llva_machine::codec::decode::<X86Inst>(&blob).expect("decodes"));
     });
     // bytecode (virtual object code) for comparison
     group.bench_function("encode_bytecode", |b| {

@@ -1,42 +1,20 @@
-//! Serialization of translated native code for the offline cache.
+//! The frame around every cached translation.
 //!
 //! LLEE writes translated functions to offline storage and reloads them
-//! on later runs (§4.1). These codecs turn instruction vectors into the
-//! byte vectors the storage API stores. The format is a simple
-//! tag + operands encoding; it is *not* the native_size() estimate used
-//! for Table 2 (that models real IA-32/SPARC encodings).
+//! on later runs (§4.1). The payload is the native code in the format
+//! [`llva_machine::codec`] derives from each ISA's description; this
+//! module wraps it for storage.
+//!
+//! Storage is OS-provided and untrusted (§4.1: the system must "operate
+//! correctly in their absence" — and, we add, in their *failure*). Every
+//! cache entry is therefore wrapped in a self-describing frame that LLEE
+//! validates before a single payload byte reaches the instruction
+//! decoder: magic, format version, payload length (detects torn writes
+//! and truncated reads), and an FNV-1a checksum chained over the storage
+//! key and the payload (detects bit rot and entries copied under the
+//! wrong key).
 
-use llva_core::intrinsics::Intrinsic;
-use llva_machine::common::{Sym, Width};
-use llva_machine::riscv::{self, RiscvInst};
-use llva_machine::sparc::{self, SparcInst};
-use llva_machine::x86::{self, X86Inst};
-use std::fmt;
-
-/// A cache blob that failed to decode (stale format, corruption).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError(pub String);
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "native-code codec error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-type Result<T> = std::result::Result<T, CodecError>;
-
-// -------------------------------------------------- cache-entry frame --
-//
-// Storage is OS-provided and untrusted (§4.1: the system must "operate
-// correctly in their absence" — and, we add, in their *failure*). Every
-// cache entry is therefore wrapped in a self-describing frame that LLEE
-// validates before a single payload byte reaches the instruction
-// decoder: magic, format version, payload length (detects torn writes
-// and truncated reads), and an FNV-1a checksum chained over the storage
-// key and the payload (detects bit rot and entries copied under the
-// wrong key).
+use llva_machine::codec::{CodecError, Result};
 
 /// First bytes of every framed cache entry ("LLva Cache Entry").
 pub const FRAME_MAGIC: &[u8; 4] = b"LLCE";
@@ -112,1409 +90,15 @@ pub fn unframe_entry<'a>(key: &str, blob: &'a [u8]) -> Result<&'a [u8]> {
     Ok(payload)
 }
 
-struct W(Vec<u8>);
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i16(&mut self, v: i16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
-            }
-        }
-    }
-    fn boolean(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn sym(&mut self, s: Sym) {
-        match s {
-            Sym::Global(g) => {
-                self.u8(0);
-                self.u32(g);
-            }
-            Sym::Function(f) => {
-                self.u8(1);
-                self.u32(f);
-            }
-        }
-    }
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn err<T>(&self, what: &str) -> Result<T> {
-        Err(CodecError(format!("{what} at offset {}", self.pos)))
-    }
-    fn u8(&mut self) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| CodecError("truncated".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.buf.len() {
-            return self.err("truncated u32");
-        }
-        let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("4"));
-        self.pos += 4;
-        Ok(v)
-    }
-    fn i32(&mut self) -> Result<i32> {
-        Ok(self.u32()? as i32)
-    }
-    fn i16(&mut self) -> Result<i16> {
-        if self.pos + 2 > self.buf.len() {
-            return self.err("truncated i16");
-        }
-        let v = i16::from_le_bytes(self.buf[self.pos..self.pos + 2].try_into().expect("2"));
-        self.pos += 2;
-        Ok(v)
-    }
-    fn i64(&mut self) -> Result<i64> {
-        if self.pos + 8 > self.buf.len() {
-            return self.err("truncated i64");
-        }
-        let v = i64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("8"));
-        self.pos += 8;
-        Ok(v)
-    }
-    fn opt_u32(&mut self) -> Result<Option<u32>> {
-        Ok(match self.u8()? {
-            0 => None,
-            _ => Some(self.u32()?),
-        })
-    }
-    fn boolean(&mut self) -> Result<bool> {
-        Ok(self.u8()? != 0)
-    }
-    fn sym(&mut self) -> Result<Sym> {
-        Ok(match self.u8()? {
-            0 => Sym::Global(self.u32()?),
-            1 => Sym::Function(self.u32()?),
-            _ => return self.err("bad sym tag"),
-        })
-    }
-}
-
-/// Reads an instruction count and validates it against the remaining
-/// input, so a corrupted header cannot drive a multi-gigabyte
-/// allocation: every encoded instruction occupies at least one byte.
-fn checked_count(r: &mut R<'_>) -> Result<usize> {
-    let n = r.u32()? as usize;
-    let remaining = r.buf.len() - r.pos;
-    if n > remaining {
-        return Err(CodecError(format!(
-            "instruction count {n} exceeds the {remaining} bytes that follow"
-        )));
-    }
-    Ok(n)
-}
-
-fn norm_tag(n: x86::Norm) -> u8 {
-    match n {
-        x86::Norm::None => 0,
-        x86::Norm::Sext32 => 1,
-        x86::Norm::Zext32 => 2,
-    }
-}
-
-fn norm_from(tag: u8) -> Result<x86::Norm> {
-    Ok(match tag {
-        0 => x86::Norm::None,
-        1 => x86::Norm::Sext32,
-        2 => x86::Norm::Zext32,
-        other => return Err(CodecError(format!("bad norm {other}"))),
-    })
-}
-
-fn gpr_tag(g: x86::Gpr) -> u8 {
-    x86::Gpr::ALL.iter().position(|&x| x == g).expect("gpr") as u8
-}
-
-fn gpr_from(tag: u8) -> Result<x86::Gpr> {
-    x86::Gpr::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad gpr {tag}")))
-}
-
-const X86_ALU: [x86::AluOp; 8] = [
-    x86::AluOp::Add,
-    x86::AluOp::Sub,
-    x86::AluOp::And,
-    x86::AluOp::Or,
-    x86::AluOp::Xor,
-    x86::AluOp::Shl,
-    x86::AluOp::Shr,
-    x86::AluOp::Sar,
-];
-
-const X86_COND: [x86::Cond; 10] = [
-    x86::Cond::E,
-    x86::Cond::Ne,
-    x86::Cond::L,
-    x86::Cond::G,
-    x86::Cond::Le,
-    x86::Cond::Ge,
-    x86::Cond::B,
-    x86::Cond::A,
-    x86::Cond::Be,
-    x86::Cond::Ae,
-];
-
-const FP_OP: [x86::FpOp; 4] = [
-    x86::FpOp::Add,
-    x86::FpOp::Sub,
-    x86::FpOp::Mul,
-    x86::FpOp::Div,
-];
-
-fn pos_of<T: PartialEq>(arr: &[T], v: &T) -> u8 {
-    arr.iter().position(|x| x == v).expect("member") as u8
-}
-
-fn at<T: Copy>(arr: &[T], tag: u8, what: &str) -> Result<T> {
-    arr.get(tag as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad {what} {tag}")))
-}
-
-fn intrinsic_tag(i: Intrinsic) -> u8 {
-    pos_of(&Intrinsic::ALL, &i)
-}
-
-fn mem_w(w: &mut W, m: x86::MemOp) {
-    w.u8(gpr_tag(m.base));
-    w.i32(m.disp);
-}
-
-fn mem_r(r: &mut R<'_>) -> Result<x86::MemOp> {
-    Ok(x86::MemOp {
-        base: gpr_from(r.u8()?)?,
-        disp: r.i32()?,
-    })
-}
-
-/// Encodes x86 code for the cache.
-pub fn encode_x86(code: &[X86Inst]) -> Vec<u8> {
-    let mut w = W(Vec::with_capacity(code.len() * 8));
-    w.u32(code.len() as u32);
-    for inst in code {
-        encode_x86_inst(&mut w, inst);
-    }
-    w.0
-}
-
-#[allow(clippy::too_many_lines)]
-fn encode_x86_inst(w: &mut W, inst: &X86Inst) {
-    use X86Inst as I;
-    match inst {
-        I::MovRI(r, v) => {
-            w.u8(0);
-            w.u8(gpr_tag(*r));
-            w.i64(*v);
-        }
-        I::MovRR(a, b) => {
-            w.u8(1);
-            w.u8(gpr_tag(*a));
-            w.u8(gpr_tag(*b));
-        }
-        I::MovRSym(r, s) => {
-            w.u8(2);
-            w.u8(gpr_tag(*r));
-            w.sym(*s);
-        }
-        I::Load {
-            dst,
-            mem,
-            width,
-            signed,
-        } => {
-            w.u8(3);
-            w.u8(gpr_tag(*dst));
-            mem_w(w, *mem);
-            w.u8(width.tag());
-            w.boolean(*signed);
-        }
-        I::Store { src, mem, width } => {
-            w.u8(4);
-            w.u8(gpr_tag(*src));
-            mem_w(w, *mem);
-            w.u8(width.tag());
-        }
-        I::Lea(r, m) => {
-            w.u8(5);
-            w.u8(gpr_tag(*r));
-            mem_w(w, *m);
-        }
-        I::AluRR(op, a, b, n) => {
-            w.u8(6);
-            w.u8(pos_of(&X86_ALU, op));
-            w.u8(gpr_tag(*a));
-            w.u8(gpr_tag(*b));
-            w.u8(norm_tag(*n));
-        }
-        I::AluRI(op, a, v, n) => {
-            w.u8(7);
-            w.u8(pos_of(&X86_ALU, op));
-            w.u8(gpr_tag(*a));
-            w.i64(*v);
-            w.u8(norm_tag(*n));
-        }
-        I::AluRM(op, a, m, n) => {
-            w.u8(8);
-            w.u8(pos_of(&X86_ALU, op));
-            w.u8(gpr_tag(*a));
-            mem_w(w, *m);
-            w.u8(norm_tag(*n));
-        }
-        I::IMulRR(a, b, n) => {
-            w.u8(9);
-            w.u8(gpr_tag(*a));
-            w.u8(gpr_tag(*b));
-            w.u8(norm_tag(*n));
-        }
-        I::IMulRM(a, m, n) => {
-            w.u8(10);
-            w.u8(gpr_tag(*a));
-            mem_w(w, *m);
-            w.u8(norm_tag(*n));
-        }
-        I::Cdq => w.u8(11),
-        I::Div {
-            signed,
-            divisor,
-            trapping,
-            norm,
-        } => {
-            w.u8(12);
-            w.boolean(*signed);
-            w.u8(gpr_tag(*divisor));
-            w.boolean(*trapping);
-            w.u8(norm_tag(*norm));
-        }
-        I::CmpRR(a, b) => {
-            w.u8(13);
-            w.u8(gpr_tag(*a));
-            w.u8(gpr_tag(*b));
-        }
-        I::CmpRI(a, v) => {
-            w.u8(14);
-            w.u8(gpr_tag(*a));
-            w.i64(*v);
-        }
-        I::CmpRM(a, m) => {
-            w.u8(15);
-            w.u8(gpr_tag(*a));
-            mem_w(w, *m);
-        }
-        I::Setcc(c, r) => {
-            w.u8(16);
-            w.u8(pos_of(&X86_COND, c));
-            w.u8(gpr_tag(*r));
-        }
-        I::Jmp(t) => {
-            w.u8(17);
-            w.u32(*t);
-        }
-        I::Jcc(c, t) => {
-            w.u8(18);
-            w.u8(pos_of(&X86_COND, c));
-            w.u32(*t);
-        }
-        I::CallFn { func, unwind } => {
-            w.u8(19);
-            w.u32(*func);
-            w.opt_u32(*unwind);
-        }
-        I::CallIndirect { target, unwind } => {
-            w.u8(20);
-            w.u8(gpr_tag(*target));
-            w.opt_u32(*unwind);
-        }
-        I::CallIntrinsic { which, nargs } => {
-            w.u8(21);
-            w.u8(intrinsic_tag(*which));
-            w.u8(*nargs);
-        }
-        I::Ret => w.u8(22),
-        I::Unwind => w.u8(23),
-        I::Push(r) => {
-            w.u8(24);
-            w.u8(gpr_tag(*r));
-        }
-        I::Pop(r) => {
-            w.u8(25);
-            w.u8(gpr_tag(*r));
-        }
-        I::FLoad { dst, mem, is32 } => {
-            w.u8(26);
-            w.u8(dst.0);
-            mem_w(w, *mem);
-            w.boolean(*is32);
-        }
-        I::FStore { src, mem, is32 } => {
-            w.u8(27);
-            w.u8(src.0);
-            mem_w(w, *mem);
-            w.boolean(*is32);
-        }
-        I::FMovRR(a, b) => {
-            w.u8(28);
-            w.u8(a.0);
-            w.u8(b.0);
-        }
-        I::FAlu(op, a, b, is32) => {
-            w.u8(29);
-            w.u8(pos_of(&FP_OP, op));
-            w.u8(a.0);
-            w.u8(b.0);
-            w.boolean(*is32);
-        }
-        I::FCmp(a, b, is32) => {
-            w.u8(30);
-            w.u8(a.0);
-            w.u8(b.0);
-            w.boolean(*is32);
-        }
-        I::CvtIF {
-            dst,
-            src,
-            to32,
-            signed,
-        } => {
-            w.u8(31);
-            w.u8(dst.0);
-            w.u8(gpr_tag(*src));
-            w.boolean(*to32);
-            w.boolean(*signed);
-        }
-        I::CvtFI {
-            dst,
-            src,
-            from32,
-            signed,
-        } => {
-            w.u8(32);
-            w.u8(gpr_tag(*dst));
-            w.u8(src.0);
-            w.boolean(*from32);
-            w.boolean(*signed);
-        }
-        I::CvtFF { dst, src, to32 } => {
-            w.u8(33);
-            w.u8(dst.0);
-            w.u8(src.0);
-            w.boolean(*to32);
-        }
-        I::MovGF(g, f) => {
-            w.u8(34);
-            w.u8(gpr_tag(*g));
-            w.u8(f.0);
-        }
-        I::MovFG(f, g) => {
-            w.u8(35);
-            w.u8(f.0);
-            w.u8(gpr_tag(*g));
-        }
-        I::SignExtend(r, width) => {
-            w.u8(36);
-            w.u8(gpr_tag(*r));
-            w.u8(width.tag());
-        }
-        I::ZeroExtend(r, width) => {
-            w.u8(37);
-            w.u8(gpr_tag(*r));
-            w.u8(width.tag());
-        }
-    }
-}
-
-/// Decodes cached x86 code.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on truncation or bad tags.
-pub fn decode_x86(bytes: &[u8]) -> Result<Vec<X86Inst>> {
-    let mut r = R { buf: bytes, pos: 0 };
-    let n = checked_count(&mut r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_x86_inst(&mut r)?);
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_lines)]
-fn decode_x86_inst(r: &mut R<'_>) -> Result<X86Inst> {
-    use X86Inst as I;
-    Ok(match r.u8()? {
-        0 => I::MovRI(gpr_from(r.u8()?)?, r.i64()?),
-        1 => I::MovRR(gpr_from(r.u8()?)?, gpr_from(r.u8()?)?),
-        2 => I::MovRSym(gpr_from(r.u8()?)?, r.sym()?),
-        3 => I::Load {
-            dst: gpr_from(r.u8()?)?,
-            mem: mem_r(r)?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-            signed: r.boolean()?,
-        },
-        4 => I::Store {
-            src: gpr_from(r.u8()?)?,
-            mem: mem_r(r)?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-        },
-        5 => I::Lea(gpr_from(r.u8()?)?, mem_r(r)?),
-        6 => I::AluRR(
-            at(&X86_ALU, r.u8()?, "alu")?,
-            gpr_from(r.u8()?)?,
-            gpr_from(r.u8()?)?,
-            norm_from(r.u8()?)?,
-        ),
-        7 => I::AluRI(
-            at(&X86_ALU, r.u8()?, "alu")?,
-            gpr_from(r.u8()?)?,
-            r.i64()?,
-            norm_from(r.u8()?)?,
-        ),
-        8 => I::AluRM(
-            at(&X86_ALU, r.u8()?, "alu")?,
-            gpr_from(r.u8()?)?,
-            mem_r(r)?,
-            norm_from(r.u8()?)?,
-        ),
-        9 => I::IMulRR(gpr_from(r.u8()?)?, gpr_from(r.u8()?)?, norm_from(r.u8()?)?),
-        10 => I::IMulRM(gpr_from(r.u8()?)?, mem_r(r)?, norm_from(r.u8()?)?),
-        11 => I::Cdq,
-        12 => I::Div {
-            signed: r.boolean()?,
-            divisor: gpr_from(r.u8()?)?,
-            trapping: r.boolean()?,
-            norm: norm_from(r.u8()?)?,
-        },
-        13 => I::CmpRR(gpr_from(r.u8()?)?, gpr_from(r.u8()?)?),
-        14 => I::CmpRI(gpr_from(r.u8()?)?, r.i64()?),
-        15 => I::CmpRM(gpr_from(r.u8()?)?, mem_r(r)?),
-        16 => I::Setcc(at(&X86_COND, r.u8()?, "cond")?, gpr_from(r.u8()?)?),
-        17 => I::Jmp(r.u32()?),
-        18 => I::Jcc(at(&X86_COND, r.u8()?, "cond")?, r.u32()?),
-        19 => I::CallFn {
-            func: r.u32()?,
-            unwind: r.opt_u32()?,
-        },
-        20 => I::CallIndirect {
-            target: gpr_from(r.u8()?)?,
-            unwind: r.opt_u32()?,
-        },
-        21 => I::CallIntrinsic {
-            which: at(&Intrinsic::ALL, r.u8()?, "intrinsic")?,
-            nargs: r.u8()?,
-        },
-        22 => I::Ret,
-        23 => I::Unwind,
-        24 => I::Push(gpr_from(r.u8()?)?),
-        25 => I::Pop(gpr_from(r.u8()?)?),
-        26 => I::FLoad {
-            dst: x86::Fpr(r.u8()?),
-            mem: mem_r(r)?,
-            is32: r.boolean()?,
-        },
-        27 => I::FStore {
-            src: x86::Fpr(r.u8()?),
-            mem: mem_r(r)?,
-            is32: r.boolean()?,
-        },
-        28 => I::FMovRR(x86::Fpr(r.u8()?), x86::Fpr(r.u8()?)),
-        29 => I::FAlu(
-            at(&FP_OP, r.u8()?, "fpop")?,
-            x86::Fpr(r.u8()?),
-            x86::Fpr(r.u8()?),
-            r.boolean()?,
-        ),
-        30 => I::FCmp(x86::Fpr(r.u8()?), x86::Fpr(r.u8()?), r.boolean()?),
-        31 => I::CvtIF {
-            dst: x86::Fpr(r.u8()?),
-            src: gpr_from(r.u8()?)?,
-            to32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        32 => I::CvtFI {
-            dst: gpr_from(r.u8()?)?,
-            src: x86::Fpr(r.u8()?),
-            from32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        33 => I::CvtFF {
-            dst: x86::Fpr(r.u8()?),
-            src: x86::Fpr(r.u8()?),
-            to32: r.boolean()?,
-        },
-        34 => I::MovGF(gpr_from(r.u8()?)?, x86::Fpr(r.u8()?)),
-        35 => I::MovFG(x86::Fpr(r.u8()?), gpr_from(r.u8()?)?),
-        36 => I::SignExtend(
-            gpr_from(r.u8()?)?,
-            Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-        ),
-        37 => I::ZeroExtend(
-            gpr_from(r.u8()?)?,
-            Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-        ),
-        other => return Err(CodecError(format!("bad x86 tag {other}"))),
-    })
-}
-
-const SPARC_ALU: [sparc::AluOp; 13] = [
-    sparc::AluOp::Add,
-    sparc::AluOp::Sub,
-    sparc::AluOp::Mul,
-    sparc::AluOp::Sdiv,
-    sparc::AluOp::Udiv,
-    sparc::AluOp::Srem,
-    sparc::AluOp::Urem,
-    sparc::AluOp::And,
-    sparc::AluOp::Or,
-    sparc::AluOp::Xor,
-    sparc::AluOp::Sll,
-    sparc::AluOp::Srl,
-    sparc::AluOp::Sra,
-];
-
-const SPARC_COND: [sparc::Cond; 10] = [
-    sparc::Cond::E,
-    sparc::Cond::Ne,
-    sparc::Cond::L,
-    sparc::Cond::G,
-    sparc::Cond::Le,
-    sparc::Cond::Ge,
-    sparc::Cond::Lu,
-    sparc::Cond::Gu,
-    sparc::Cond::Leu,
-    sparc::Cond::Geu,
-];
-
-const SPARC_FP: [sparc::FpOp; 4] = [
-    sparc::FpOp::Add,
-    sparc::FpOp::Sub,
-    sparc::FpOp::Mul,
-    sparc::FpOp::Div,
-];
-
-fn roi_w(w: &mut W, v: sparc::RegOrImm) {
-    match v {
-        sparc::RegOrImm::Reg(r) => {
-            w.u8(0);
-            w.u8(r.0);
-        }
-        sparc::RegOrImm::Imm(i) => {
-            w.u8(1);
-            w.i16(i);
-        }
-    }
-}
-
-fn roi_r(r: &mut R<'_>) -> Result<sparc::RegOrImm> {
-    Ok(match r.u8()? {
-        0 => sparc::RegOrImm::Reg(sparc::Reg(r.u8()?)),
-        1 => sparc::RegOrImm::Imm(r.i16()?),
-        _ => return Err(CodecError("bad reg-or-imm".into())),
-    })
-}
-
-/// Encodes SPARC code for the cache.
-pub fn encode_sparc(code: &[SparcInst]) -> Vec<u8> {
-    let mut w = W(Vec::with_capacity(code.len() * 8));
-    w.u32(code.len() as u32);
-    for inst in code {
-        encode_sparc_inst(&mut w, inst);
-    }
-    w.0
-}
-
-#[allow(clippy::too_many_lines)]
-fn encode_sparc_inst(w: &mut W, inst: &SparcInst) {
-    use SparcInst as I;
-    match inst {
-        I::Sethi { imm22, rd } => {
-            w.u8(0);
-            w.u32(*imm22);
-            w.u8(rd.0);
-        }
-        I::Alu {
-            op,
-            rs1,
-            rhs,
-            rd,
-            trapping,
-        } => {
-            w.u8(1);
-            w.u8(pos_of(&SPARC_ALU, op));
-            w.u8(rs1.0);
-            roi_w(w, *rhs);
-            w.u8(rd.0);
-            w.boolean(*trapping);
-        }
-        I::Cmp { rs1, rhs } => {
-            w.u8(2);
-            w.u8(rs1.0);
-            roi_w(w, *rhs);
-        }
-        I::Ld {
-            rd,
-            rs1,
-            off,
-            width,
-            signed,
-        } => {
-            w.u8(3);
-            w.u8(rd.0);
-            w.u8(rs1.0);
-            roi_w(w, *off);
-            w.u8(width.tag());
-            w.boolean(*signed);
-        }
-        I::St {
-            rs,
-            rs1,
-            off,
-            width,
-        } => {
-            w.u8(4);
-            w.u8(rs.0);
-            w.u8(rs1.0);
-            roi_w(w, *off);
-            w.u8(width.tag());
-        }
-        I::LdF { fd, rs1, off, is32 } => {
-            w.u8(5);
-            w.u8(fd.0);
-            w.u8(rs1.0);
-            roi_w(w, *off);
-            w.boolean(*is32);
-        }
-        I::StF { fs, rs1, off, is32 } => {
-            w.u8(6);
-            w.u8(fs.0);
-            w.u8(rs1.0);
-            roi_w(w, *off);
-            w.boolean(*is32);
-        }
-        I::Br { cond, target } => {
-            w.u8(7);
-            w.u8(pos_of(&SPARC_COND, cond));
-            w.u32(*target);
-        }
-        I::Ba { target } => {
-            w.u8(8);
-            w.u32(*target);
-        }
-        I::Call { func, unwind } => {
-            w.u8(9);
-            w.u32(*func);
-            w.opt_u32(*unwind);
-        }
-        I::CallIndirect { rs, unwind } => {
-            w.u8(10);
-            w.u8(rs.0);
-            w.opt_u32(*unwind);
-        }
-        I::CallIntrinsic { which, nargs } => {
-            w.u8(11);
-            w.u8(intrinsic_tag(*which));
-            w.u8(*nargs);
-        }
-        I::Ret => w.u8(12),
-        I::Unwind => w.u8(13),
-        I::MovSym { rd, sym } => {
-            w.u8(14);
-            w.u8(rd.0);
-            w.sym(*sym);
-        }
-        I::FMov(a, b) => {
-            w.u8(15);
-            w.u8(a.0);
-            w.u8(b.0);
-        }
-        I::FAlu {
-            op,
-            fs1,
-            fs2,
-            fd,
-            is32,
-        } => {
-            w.u8(16);
-            w.u8(pos_of(&SPARC_FP, op));
-            w.u8(fs1.0);
-            w.u8(fs2.0);
-            w.u8(fd.0);
-            w.boolean(*is32);
-        }
-        I::FCmp { fs1, fs2, is32 } => {
-            w.u8(17);
-            w.u8(fs1.0);
-            w.u8(fs2.0);
-            w.boolean(*is32);
-        }
-        I::CvtIF {
-            fd,
-            rs,
-            to32,
-            signed,
-        } => {
-            w.u8(18);
-            w.u8(fd.0);
-            w.u8(rs.0);
-            w.boolean(*to32);
-            w.boolean(*signed);
-        }
-        I::CvtFI {
-            rd,
-            fs,
-            from32,
-            signed,
-        } => {
-            w.u8(19);
-            w.u8(rd.0);
-            w.u8(fs.0);
-            w.boolean(*from32);
-            w.boolean(*signed);
-        }
-        I::CvtFF { fd, fs, to32 } => {
-            w.u8(20);
-            w.u8(fd.0);
-            w.u8(fs.0);
-            w.boolean(*to32);
-        }
-        I::MovGF(r, f) => {
-            w.u8(21);
-            w.u8(r.0);
-            w.u8(f.0);
-        }
-        I::MovFG(f, r) => {
-            w.u8(22);
-            w.u8(f.0);
-            w.u8(r.0);
-        }
-    }
-}
-
-/// Decodes cached SPARC code.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on truncation or bad tags.
-pub fn decode_sparc(bytes: &[u8]) -> Result<Vec<SparcInst>> {
-    let mut r = R { buf: bytes, pos: 0 };
-    let n = checked_count(&mut r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_sparc_inst(&mut r)?);
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_lines)]
-fn decode_sparc_inst(r: &mut R<'_>) -> Result<SparcInst> {
-    use SparcInst as I;
-    Ok(match r.u8()? {
-        0 => I::Sethi {
-            imm22: r.u32()?,
-            rd: sparc::Reg(r.u8()?),
-        },
-        1 => I::Alu {
-            op: at(&SPARC_ALU, r.u8()?, "alu")?,
-            rs1: sparc::Reg(r.u8()?),
-            rhs: roi_r(r)?,
-            rd: sparc::Reg(r.u8()?),
-            trapping: r.boolean()?,
-        },
-        2 => I::Cmp {
-            rs1: sparc::Reg(r.u8()?),
-            rhs: roi_r(r)?,
-        },
-        3 => I::Ld {
-            rd: sparc::Reg(r.u8()?),
-            rs1: sparc::Reg(r.u8()?),
-            off: roi_r(r)?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-            signed: r.boolean()?,
-        },
-        4 => I::St {
-            rs: sparc::Reg(r.u8()?),
-            rs1: sparc::Reg(r.u8()?),
-            off: roi_r(r)?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-        },
-        5 => I::LdF {
-            fd: sparc::FReg(r.u8()?),
-            rs1: sparc::Reg(r.u8()?),
-            off: roi_r(r)?,
-            is32: r.boolean()?,
-        },
-        6 => I::StF {
-            fs: sparc::FReg(r.u8()?),
-            rs1: sparc::Reg(r.u8()?),
-            off: roi_r(r)?,
-            is32: r.boolean()?,
-        },
-        7 => I::Br {
-            cond: at(&SPARC_COND, r.u8()?, "cond")?,
-            target: r.u32()?,
-        },
-        8 => I::Ba { target: r.u32()? },
-        9 => I::Call {
-            func: r.u32()?,
-            unwind: r.opt_u32()?,
-        },
-        10 => I::CallIndirect {
-            rs: sparc::Reg(r.u8()?),
-            unwind: r.opt_u32()?,
-        },
-        11 => I::CallIntrinsic {
-            which: at(&Intrinsic::ALL, r.u8()?, "intrinsic")?,
-            nargs: r.u8()?,
-        },
-        12 => I::Ret,
-        13 => I::Unwind,
-        14 => I::MovSym {
-            rd: sparc::Reg(r.u8()?),
-            sym: r.sym()?,
-        },
-        15 => I::FMov(sparc::FReg(r.u8()?), sparc::FReg(r.u8()?)),
-        16 => I::FAlu {
-            op: at(&SPARC_FP, r.u8()?, "fpop")?,
-            fs1: sparc::FReg(r.u8()?),
-            fs2: sparc::FReg(r.u8()?),
-            fd: sparc::FReg(r.u8()?),
-            is32: r.boolean()?,
-        },
-        17 => I::FCmp {
-            fs1: sparc::FReg(r.u8()?),
-            fs2: sparc::FReg(r.u8()?),
-            is32: r.boolean()?,
-        },
-        18 => I::CvtIF {
-            fd: sparc::FReg(r.u8()?),
-            rs: sparc::Reg(r.u8()?),
-            to32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        19 => I::CvtFI {
-            rd: sparc::Reg(r.u8()?),
-            fs: sparc::FReg(r.u8()?),
-            from32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        20 => I::CvtFF {
-            fd: sparc::FReg(r.u8()?),
-            fs: sparc::FReg(r.u8()?),
-            to32: r.boolean()?,
-        },
-        21 => I::MovGF(sparc::Reg(r.u8()?), sparc::FReg(r.u8()?)),
-        22 => I::MovFG(sparc::FReg(r.u8()?), sparc::Reg(r.u8()?)),
-        other => return Err(CodecError(format!("bad sparc tag {other}"))),
-    })
-}
-
-const RISCV_ALU: [riscv::AluOp; 15] = [
-    riscv::AluOp::Add,
-    riscv::AluOp::Sub,
-    riscv::AluOp::Mul,
-    riscv::AluOp::Sdiv,
-    riscv::AluOp::Udiv,
-    riscv::AluOp::Srem,
-    riscv::AluOp::Urem,
-    riscv::AluOp::And,
-    riscv::AluOp::Or,
-    riscv::AluOp::Xor,
-    riscv::AluOp::Sll,
-    riscv::AluOp::Srl,
-    riscv::AluOp::Sra,
-    riscv::AluOp::Slt,
-    riscv::AluOp::Sltu,
-];
-
-const RISCV_BR: [riscv::BrCond; 6] = [
-    riscv::BrCond::Eq,
-    riscv::BrCond::Ne,
-    riscv::BrCond::Lt,
-    riscv::BrCond::Ge,
-    riscv::BrCond::Ltu,
-    riscv::BrCond::Geu,
-];
-
-const RISCV_FP: [riscv::FpOp; 4] = [
-    riscv::FpOp::Add,
-    riscv::FpOp::Sub,
-    riscv::FpOp::Mul,
-    riscv::FpOp::Div,
-];
-
-const RISCV_FSET: [riscv::FSetOp; 3] =
-    [riscv::FSetOp::Feq, riscv::FSetOp::Flt, riscv::FSetOp::Fle];
-
-fn rv_roi_w(w: &mut W, v: riscv::RegOrImm) {
-    match v {
-        riscv::RegOrImm::Reg(r) => {
-            w.u8(0);
-            w.u8(r.0);
-        }
-        riscv::RegOrImm::Imm(i) => {
-            w.u8(1);
-            w.i16(i);
-        }
-    }
-}
-
-fn rv_roi_r(r: &mut R<'_>) -> Result<riscv::RegOrImm> {
-    Ok(match r.u8()? {
-        0 => riscv::RegOrImm::Reg(riscv::Reg(r.u8()?)),
-        1 => riscv::RegOrImm::Imm(r.i16()?),
-        _ => return Err(CodecError("bad reg-or-imm".into())),
-    })
-}
-
-/// Encodes RISC-V code for the cache.
-pub fn encode_riscv(code: &[RiscvInst]) -> Vec<u8> {
-    let mut w = W(Vec::with_capacity(code.len() * 8));
-    w.u32(code.len() as u32);
-    for inst in code {
-        encode_riscv_inst(&mut w, inst);
-    }
-    w.0
-}
-
-#[allow(clippy::too_many_lines)]
-fn encode_riscv_inst(w: &mut W, inst: &RiscvInst) {
-    use RiscvInst as I;
-    match inst {
-        I::Lui { imm20, rd } => {
-            w.u8(0);
-            w.u32(*imm20);
-            w.u8(rd.0);
-        }
-        I::Alu {
-            op,
-            rs1,
-            rhs,
-            rd,
-            trapping,
-        } => {
-            w.u8(1);
-            w.u8(pos_of(&RISCV_ALU, op));
-            w.u8(rs1.0);
-            rv_roi_w(w, *rhs);
-            w.u8(rd.0);
-            w.boolean(*trapping);
-        }
-        I::Ld {
-            rd,
-            rs1,
-            off,
-            width,
-            signed,
-        } => {
-            w.u8(2);
-            w.u8(rd.0);
-            w.u8(rs1.0);
-            w.i16(*off);
-            w.u8(width.tag());
-            w.boolean(*signed);
-        }
-        I::St {
-            rs,
-            rs1,
-            off,
-            width,
-        } => {
-            w.u8(3);
-            w.u8(rs.0);
-            w.u8(rs1.0);
-            w.i16(*off);
-            w.u8(width.tag());
-        }
-        I::LdF { fd, rs1, off, is32 } => {
-            w.u8(4);
-            w.u8(fd.0);
-            w.u8(rs1.0);
-            w.i16(*off);
-            w.boolean(*is32);
-        }
-        I::StF { fs, rs1, off, is32 } => {
-            w.u8(5);
-            w.u8(fs.0);
-            w.u8(rs1.0);
-            w.i16(*off);
-            w.boolean(*is32);
-        }
-        I::Br {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => {
-            w.u8(6);
-            w.u8(pos_of(&RISCV_BR, cond));
-            w.u8(rs1.0);
-            w.u8(rs2.0);
-            w.u32(*target);
-        }
-        I::J { target } => {
-            w.u8(7);
-            w.u32(*target);
-        }
-        I::Call { func, unwind } => {
-            w.u8(8);
-            w.u32(*func);
-            w.opt_u32(*unwind);
-        }
-        I::CallIndirect { rs, unwind } => {
-            w.u8(9);
-            w.u8(rs.0);
-            w.opt_u32(*unwind);
-        }
-        I::CallIntrinsic { which, nargs } => {
-            w.u8(10);
-            w.u8(intrinsic_tag(*which));
-            w.u8(*nargs);
-        }
-        I::Ret => w.u8(11),
-        I::Unwind => w.u8(12),
-        I::MovSym { rd, sym } => {
-            w.u8(13);
-            w.u8(rd.0);
-            w.sym(*sym);
-        }
-        I::FMov(a, b) => {
-            w.u8(14);
-            w.u8(a.0);
-            w.u8(b.0);
-        }
-        I::FAlu {
-            op,
-            fs1,
-            fs2,
-            fd,
-            is32,
-        } => {
-            w.u8(15);
-            w.u8(pos_of(&RISCV_FP, op));
-            w.u8(fs1.0);
-            w.u8(fs2.0);
-            w.u8(fd.0);
-            w.boolean(*is32);
-        }
-        I::FSet {
-            op,
-            rd,
-            fs1,
-            fs2,
-            is32,
-        } => {
-            w.u8(16);
-            w.u8(pos_of(&RISCV_FSET, op));
-            w.u8(rd.0);
-            w.u8(fs1.0);
-            w.u8(fs2.0);
-            w.boolean(*is32);
-        }
-        I::CvtIF {
-            fd,
-            rs,
-            to32,
-            signed,
-        } => {
-            w.u8(17);
-            w.u8(fd.0);
-            w.u8(rs.0);
-            w.boolean(*to32);
-            w.boolean(*signed);
-        }
-        I::CvtFI {
-            rd,
-            fs,
-            from32,
-            signed,
-        } => {
-            w.u8(18);
-            w.u8(rd.0);
-            w.u8(fs.0);
-            w.boolean(*from32);
-            w.boolean(*signed);
-        }
-        I::CvtFF { fd, fs, to32 } => {
-            w.u8(19);
-            w.u8(fd.0);
-            w.u8(fs.0);
-            w.boolean(*to32);
-        }
-        I::MovGF(r, f) => {
-            w.u8(20);
-            w.u8(r.0);
-            w.u8(f.0);
-        }
-        I::MovFG(f, r) => {
-            w.u8(21);
-            w.u8(f.0);
-            w.u8(r.0);
-        }
-    }
-}
-
-/// Decodes cached RISC-V code.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on truncation or bad tags.
-pub fn decode_riscv(bytes: &[u8]) -> Result<Vec<RiscvInst>> {
-    let mut r = R { buf: bytes, pos: 0 };
-    let n = checked_count(&mut r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_riscv_inst(&mut r)?);
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_lines)]
-fn decode_riscv_inst(r: &mut R<'_>) -> Result<RiscvInst> {
-    use RiscvInst as I;
-    Ok(match r.u8()? {
-        0 => I::Lui {
-            imm20: r.u32()?,
-            rd: riscv::Reg(r.u8()?),
-        },
-        1 => I::Alu {
-            op: at(&RISCV_ALU, r.u8()?, "alu")?,
-            rs1: riscv::Reg(r.u8()?),
-            rhs: rv_roi_r(r)?,
-            rd: riscv::Reg(r.u8()?),
-            trapping: r.boolean()?,
-        },
-        2 => I::Ld {
-            rd: riscv::Reg(r.u8()?),
-            rs1: riscv::Reg(r.u8()?),
-            off: r.i16()?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-            signed: r.boolean()?,
-        },
-        3 => I::St {
-            rs: riscv::Reg(r.u8()?),
-            rs1: riscv::Reg(r.u8()?),
-            off: r.i16()?,
-            width: Width::from_tag(r.u8()?).ok_or_else(|| CodecError("width".into()))?,
-        },
-        4 => I::LdF {
-            fd: riscv::FReg(r.u8()?),
-            rs1: riscv::Reg(r.u8()?),
-            off: r.i16()?,
-            is32: r.boolean()?,
-        },
-        5 => I::StF {
-            fs: riscv::FReg(r.u8()?),
-            rs1: riscv::Reg(r.u8()?),
-            off: r.i16()?,
-            is32: r.boolean()?,
-        },
-        6 => I::Br {
-            cond: at(&RISCV_BR, r.u8()?, "cond")?,
-            rs1: riscv::Reg(r.u8()?),
-            rs2: riscv::Reg(r.u8()?),
-            target: r.u32()?,
-        },
-        7 => I::J { target: r.u32()? },
-        8 => I::Call {
-            func: r.u32()?,
-            unwind: r.opt_u32()?,
-        },
-        9 => I::CallIndirect {
-            rs: riscv::Reg(r.u8()?),
-            unwind: r.opt_u32()?,
-        },
-        10 => I::CallIntrinsic {
-            which: at(&Intrinsic::ALL, r.u8()?, "intrinsic")?,
-            nargs: r.u8()?,
-        },
-        11 => I::Ret,
-        12 => I::Unwind,
-        13 => I::MovSym {
-            rd: riscv::Reg(r.u8()?),
-            sym: r.sym()?,
-        },
-        14 => I::FMov(riscv::FReg(r.u8()?), riscv::FReg(r.u8()?)),
-        15 => I::FAlu {
-            op: at(&RISCV_FP, r.u8()?, "fpop")?,
-            fs1: riscv::FReg(r.u8()?),
-            fs2: riscv::FReg(r.u8()?),
-            fd: riscv::FReg(r.u8()?),
-            is32: r.boolean()?,
-        },
-        16 => I::FSet {
-            op: at(&RISCV_FSET, r.u8()?, "fset")?,
-            rd: riscv::Reg(r.u8()?),
-            fs1: riscv::FReg(r.u8()?),
-            fs2: riscv::FReg(r.u8()?),
-            is32: r.boolean()?,
-        },
-        17 => I::CvtIF {
-            fd: riscv::FReg(r.u8()?),
-            rs: riscv::Reg(r.u8()?),
-            to32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        18 => I::CvtFI {
-            rd: riscv::Reg(r.u8()?),
-            fs: riscv::FReg(r.u8()?),
-            from32: r.boolean()?,
-            signed: r.boolean()?,
-        },
-        19 => I::CvtFF {
-            fd: riscv::FReg(r.u8()?),
-            fs: riscv::FReg(r.u8()?),
-            to32: r.boolean()?,
-        },
-        20 => I::MovGF(riscv::Reg(r.u8()?), riscv::FReg(r.u8()?)),
-        21 => I::MovFG(riscv::FReg(r.u8()?), riscv::Reg(r.u8()?)),
-        other => return Err(CodecError(format!("bad riscv tag {other}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn x86_round_trip() {
-        let m = llva_core::parser::parse_module(
-            r#"
-%S = type { int, double }
-
-int %f(int %x, %S* %p) {
-entry:
-    %c = setlt int %x, 10
-    br bool %c, label %a, label %b
-a:
-    %g = getelementptr %S* %p, long 0, ubyte 1
-    %d = load double* %g
-    %i = cast double %d to int
-    ret int %i
-b:
-    %r = call int %f(int 1, %S* %p)
-    ret int %r
-}
-"#,
-        )
-        .expect("parses");
-        let f = m.function_by_name("f").expect("f");
-        let code = llva_backend::compile_x86(&m, f);
-        let bytes = encode_x86(&code);
-        let decoded = decode_x86(&bytes).expect("decodes");
-        assert_eq!(code, decoded);
-    }
-
-    #[test]
-    fn sparc_round_trip() {
-        let mut m = llva_core::parser::parse_module(
-            r#"
-@g = global long 123456789
-
-long %f(long %x) {
-entry:
-    %v = load long* @g
-    %s = add long %v, %x
-    store long %s, long* @g
-    ret long %s
-}
-"#,
-        )
-        .expect("parses");
-        m.set_target(llva_core::layout::TargetConfig::sparc_v9());
-        let f = m.function_by_name("f").expect("f");
-        let code = llva_backend::compile_sparc(&m, f);
-        let bytes = encode_sparc(&code);
-        let decoded = decode_sparc(&bytes).expect("decodes");
-        assert_eq!(code, decoded);
-    }
-
-    #[test]
-    fn riscv_round_trip() {
-        let mut m = llva_core::parser::parse_module(
-            r#"
-@g = global long 123456789
-
-double %f(long %x, double %w) {
-entry:
-    %v = load long* @g
-    %s = add long %v, %x
-    %c = setlt long %s, 99999999999
-    br bool %c, label %a, label %b
-a:
-    store long %s, long* @g
-    %d = cast long %s to double
-    %e = mul double %d, %w
-    ret double %e
-b:
-    %r = call double %f(long 1, double %w)
-    ret double %r
-}
-"#,
-        )
-        .expect("parses");
-        m.set_target(llva_core::layout::TargetConfig::riscv64());
-        let f = m.function_by_name("f").expect("f");
-        let code = llva_backend::compile_riscv(&m, f);
-        let bytes = encode_riscv(&code);
-        let decoded = decode_riscv(&bytes).expect("decodes");
-        assert_eq!(code, decoded);
-    }
-
-    #[test]
-    fn corrupt_blobs_rejected() {
-        assert!(decode_x86(&[1, 2, 3]).is_err());
-        assert!(decode_sparc(&[9]).is_err());
-        assert!(decode_riscv(&[7, 7]).is_err());
-        let bytes = encode_x86(&[X86Inst::Ret]);
-        let mut corrupt = bytes.clone();
-        corrupt[4] = 250; // bad tag
-        assert!(decode_x86(&corrupt).is_err());
-        let bytes = encode_riscv(&[RiscvInst::Ret]);
-        let mut corrupt = bytes.clone();
-        corrupt[4] = 250; // bad tag
-        assert!(decode_riscv(&corrupt).is_err());
-    }
-
-    #[test]
-    fn huge_counts_rejected_without_allocating() {
-        // a count claiming 4 billion instructions in a 4-byte blob
-        let bomb = u32::MAX.to_le_bytes();
-        assert!(decode_x86(&bomb).is_err());
-        assert!(decode_sparc(&bomb).is_err());
-        assert!(decode_riscv(&bomb).is_err());
-    }
+    use llva_machine::codec::encode;
+    use llva_machine::x86::X86Inst;
 
     #[test]
     fn frame_round_trip() {
-        let payload = encode_x86(&[X86Inst::Ret]);
+        let payload = encode(&[X86Inst::Ret]);
         let framed = frame_entry("m.x86.fn0", &payload);
         assert_eq!(
             unframe_entry("m.x86.fn0", &framed).expect("valid"),
@@ -1530,7 +114,7 @@ b:
 
     #[test]
     fn frame_rejects_any_single_bit_flip() {
-        let framed = frame_entry("k", &encode_x86(&[X86Inst::Ret, X86Inst::Cdq]));
+        let framed = frame_entry("k", &encode(&[X86Inst::Ret, X86Inst::Cdq]));
         for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut bad = framed.clone();

@@ -22,7 +22,7 @@
 //!   time (a stamp compare, or decoding the module from the image
 //!   itself), never by re-deriving per-function hashes on load;
 //! * **native** — zero or more per-ISA sections of encoded translations
-//!   ([`crate::codec`]), keyed by the same per-function content hashes
+//!   ([`llva_machine::codec`]), keyed by the same per-function content hashes
 //!   ([`crate::llee::function_stamps`]) the storage cache validates.
 //!
 //! Every section carries its own FNV-1a checksum in the section table,
@@ -41,7 +41,7 @@
 //! deserialized [`PreFunction`] is validated structurally (slot bounds,
 //! edge indices, PC ranges) before it is handed to the interpreter.
 
-use crate::codec::{self, fnv1a, FNV_OFFSET};
+use crate::codec::{fnv1a, FNV_OFFSET};
 use crate::interp::Name;
 use crate::llee::{function_stamps, TargetIsa};
 use crate::predecode::{
@@ -49,6 +49,7 @@ use crate::predecode::{
 };
 use llva_core::instruction::Opcode;
 use llva_core::module::Module;
+use llva_machine::codec::encode;
 use llva_machine::common::TrapKind;
 use llva_machine::Width;
 use std::fmt;
@@ -137,7 +138,7 @@ impl fmt::Display for SectionKind {
 }
 
 /// FNV-1a folded over 8-byte words (tail bytes singly): the same
-/// error-detection role as [`codec::fnv1a`], but ~8x faster — every
+/// error-detection role as [`crate::codec::fnv1a`], but ~8x faster — every
 /// warm load checksums whole section payloads, so the byte-at-a-time
 /// hash would dominate the fast path it exists to protect.
 fn fnv1a_words(bytes: &[u8], mut h: u64) -> u64 {
@@ -1538,15 +1539,9 @@ pub fn repair_image(bytes: &[u8]) -> Result<(Vec<u8>, Vec<SectionKind>)> {
                         .map(|(fid, _)| {
                             let f = fid.index() as u32;
                             let blob = match isa {
-                                TargetIsa::X86 => {
-                                    codec::encode_x86(&compile_x86_with(&tm, fid, &peep))
-                                }
-                                TargetIsa::Sparc => {
-                                    codec::encode_sparc(&compile_sparc_with(&tm, fid, &peep))
-                                }
-                                TargetIsa::Riscv => {
-                                    codec::encode_riscv(&compile_riscv_with(&tm, fid, &peep))
-                                }
+                                TargetIsa::X86 => encode(&compile_x86_with(&tm, fid, &peep)),
+                                TargetIsa::Sparc => encode(&compile_sparc_with(&tm, fid, &peep)),
+                                TargetIsa::Riscv => encode(&compile_riscv_with(&tm, fid, &peep)),
                             };
                             (f, stamps[f as usize], blob)
                         })
@@ -1796,7 +1791,7 @@ entry:
             .filter(|(_, f)| !f.is_declaration())
             .map(|(fid, _)| {
                 let code = llva_backend::compile_x86(&m, fid);
-                (fid.index() as u32, stamps[fid.index()], codec::encode_x86(&code))
+                (fid.index() as u32, stamps[fid.index()], encode(&code))
             })
             .collect();
         b.add_native(TargetIsa::X86, &entries);

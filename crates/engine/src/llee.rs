@@ -47,6 +47,7 @@ use llva_backend::{
     compile_riscv_with, compile_sparc_with, compile_x86_with, PeepholeConfig,
 };
 use llva_core::module::{FuncId, Module};
+use llva_machine::codec::{decode, encode, Field};
 use llva_machine::common::{ExecStats, Exit, Trap};
 use llva_machine::core::{Isa, Machine, Program};
 use llva_machine::memory::{Memory, GLOBAL_BASE};
@@ -236,24 +237,16 @@ pub struct RunOutcome {
     pub stats: ExecStats,
 }
 
-/// What LLEE needs of an implementation ISA besides running it: its
-/// translator and its native code format. These are the only per-ISA
-/// lines of the execution manager.
-trait Target: Isa + Send + 'static {
+/// What LLEE needs of an implementation ISA besides running it and
+/// caching its code: its translator. This is the only per-ISA line of
+/// the execution manager.
+trait Target: Isa + Field + Send + 'static {
     fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self>;
-    fn encode(code: &[Self]) -> Vec<u8>;
-    fn decode(blob: &[u8]) -> Option<Vec<Self>>;
 }
 
 impl Target for X86Inst {
     fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
         compile_x86_with(module, f, peep)
-    }
-    fn encode(code: &[Self]) -> Vec<u8> {
-        codec::encode_x86(code)
-    }
-    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
-        codec::decode_x86(blob).ok()
     }
 }
 
@@ -261,23 +254,11 @@ impl Target for SparcInst {
     fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
         compile_sparc_with(module, f, peep)
     }
-    fn encode(code: &[Self]) -> Vec<u8> {
-        codec::encode_sparc(code)
-    }
-    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
-        codec::decode_sparc(blob).ok()
-    }
 }
 
 impl Target for RiscvInst {
     fn compile(module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<Self> {
         compile_riscv_with(module, f, peep)
-    }
-    fn encode(code: &[Self]) -> Vec<u8> {
-        codec::encode_riscv(code)
-    }
-    fn decode(blob: &[u8]) -> Option<Vec<Self>> {
-        codec::decode_riscv(blob).ok()
     }
 }
 
@@ -366,14 +347,14 @@ impl<I: Target> Engine for Native<I> {
         self.program.ensure_slots(n);
     }
     fn install_blob(&mut self, f: u32, blob: &[u8]) -> bool {
-        I::decode(blob).map(|code| self.program.install(f, code)).is_some()
+        decode::<I>(blob).map(|code| self.program.install(f, code)).is_ok()
     }
     fn encoded(&self, f: u32) -> Option<Vec<u8>> {
-        self.program.code(f).map(I::encode)
+        self.program.code(f).map(encode)
     }
     fn translate(&mut self, module: &Module, f: FuncId, peep: &PeepholeConfig) -> Vec<u8> {
         let code = I::compile(module, f, peep);
-        let blob = I::encode(&code);
+        let blob = encode(&code);
         self.program.install(f.index() as u32, code);
         blob
     }
@@ -388,7 +369,7 @@ impl<I: Target> Engine for Native<I> {
         let compiled = compile_batch(work, n_workers, |fid| {
             catch_unwind(AssertUnwindSafe(|| {
                 let code = I::compile(module, fid, peep);
-                let blob = I::encode(&code);
+                let blob = encode(&code);
                 (code, blob)
             }))
             .ok()

@@ -104,14 +104,17 @@ fn concurrent_shard_access_under_faults_loses_nothing() {
                     }
                 });
             }
-            // poisoner: panics mid-write while holding shard 0's mutex
+            // poisoner: panics mid-write while holding shard 0's mutex.
+            // Arming and writing under one lock hold keeps a concurrent
+            // writer routed to shard 0 from consuming the armed panic.
             {
                 let storage = storage.clone();
                 let key = poison_key.clone();
                 let handle = scope.spawn(move || {
-                    storage.shard(0).with(|s| s.arm_write_panic(1));
-                    let mut writer = storage.clone();
-                    writer.write("serve", &key, b"never lands", 1);
+                    storage.shard(0).with(|s| {
+                        s.arm_write_panic(1);
+                        s.write("serve", &key, b"never lands", 1);
+                    });
                 });
                 assert!(handle.join().is_err(), "poisoner must have panicked");
             }

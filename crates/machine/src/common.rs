@@ -117,27 +117,6 @@ impl Width {
             other => panic!("unsupported access width {other}"),
         }
     }
-
-    /// A stable encoding tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            Width::B1 => 0,
-            Width::B2 => 1,
-            Width::B4 => 2,
-            Width::B8 => 3,
-        }
-    }
-
-    /// Inverse of [`tag`](Width::tag).
-    pub fn from_tag(tag: u8) -> Option<Width> {
-        Some(match tag {
-            0 => Width::B1,
-            1 => Width::B2,
-            2 => Width::B4,
-            3 => Width::B8,
-            _ => return None,
-        })
-    }
 }
 
 /// A symbolic reference resolved at load/relocation time (paper §4.1:
@@ -251,10 +230,8 @@ mod tests {
     #[test]
     fn width_round_trip() {
         for w in [Width::B1, Width::B2, Width::B4, Width::B8] {
-            assert_eq!(Width::from_tag(w.tag()), Some(w));
             assert_eq!(Width::from_bytes(w.bytes()), w);
         }
-        assert_eq!(Width::from_tag(9), None);
     }
 
     #[test]

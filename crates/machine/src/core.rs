@@ -24,15 +24,20 @@ use llva_core::intrinsics::Intrinsic;
 use std::cmp::Ordering;
 use std::marker::PhantomData;
 
-/// The register file: 32 integer and 16 floating-point registers, as
-/// many as the largest ISA has (the IA-32-like one uses the first eight
-/// of each).
+/// Integer registers in the register file.
+pub const GPRS: usize = 32;
+/// Floating-point registers in the register file.
+pub const FPRS: usize = 16;
+
+/// The register file: as many integer and floating-point registers as
+/// the largest ISA has (the IA-32-like one uses the first eight of
+/// each).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Regs {
     /// Integer registers, indexed by the ISA's register numbers.
-    pub gpr: [u64; 32],
+    pub gpr: [u64; GPRS],
     /// Float registers (raw bits).
-    pub fpr: [u64; 16],
+    pub fpr: [u64; FPRS],
 }
 
 /// Condition codes: the outcome of the last compare, read as signed or
@@ -230,10 +235,17 @@ impl<I: Isa> Program<I> {
     }
 
     /// The run-time value of a relocated symbol.
-    pub fn resolve(&self, sym: Sym) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`TrapKind::MemoryFault`] for a global the program does not have
+    /// (only cached code that was tampered with names one).
+    pub fn resolve(&self, sym: Sym) -> Result<u64, TrapKind> {
         match sym {
-            Sym::Global(g) => self.global_addr(g),
-            Sym::Function(f) => function_value(f),
+            Sym::Global(g) => {
+                self.global_addrs.get(g as usize).copied().ok_or(TrapKind::MemoryFault)
+            }
+            Sym::Function(f) => Ok(function_value(f)),
         }
     }
 

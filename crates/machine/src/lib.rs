@@ -22,7 +22,12 @@
 //! [`common::Exit::NeedFunction`] so the JIT can translate on demand,
 //! intrinsic calls (§3.5) exit to the engine, and all traps are precise
 //! ([`common::Trap`] names the exact faulting instruction).
+//!
+//! [`codec`] is the byte format LLEE caches translated code in; each
+//! ISA describes its instructions' part of it once, beside its `Isa`
+//! impl.
 
+pub mod codec;
 pub mod common;
 pub mod core;
 pub mod memory;

@@ -19,9 +19,10 @@
 //! every opcode, and return addresses live in a simulator-internal
 //! frame stack (no architectural `ra` linkage).
 
+use crate::codec::{plain, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
 use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
-use crate::core::{function_index, Cpu, Flow, Isa, Machine, Program, Regs};
+use crate::core::{function_index, Cpu, Flow, Isa, Machine, Program, Regs, FPRS, GPRS};
 use llva_core::intrinsics::Intrinsic;
 
 /// An integer register number (0–31; register 0 always reads zero).
@@ -42,6 +43,8 @@ pub const T0: Reg = Reg(5);
 pub const T1: Reg = Reg(6);
 /// Scratch register `x7`/`t2` (used for address materialization).
 pub const T2: Reg = Reg(7);
+/// Arguments passed in registers, `a0`–`a7`.
+pub const ARG_REGS: u8 = 8;
 
 /// A float register number (0–15, each 64 bits wide).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -311,6 +314,39 @@ pub enum RiscvInst {
     MovFG(FReg, Reg),
 }
 
+// The cached-code format (see `crate::codec`).
+tagged!(RiscvInst {
+    0 Lui { imm20, rd },
+    1 Alu { op, rs1, rhs, rd, trapping },
+    2 Ld { rd, rs1, off, width, signed },
+    3 St { rs, rs1, off, width },
+    4 LdF { fd, rs1, off, is32 },
+    5 StF { fs, rs1, off, is32 },
+    6 Br { cond, rs1, rs2, target },
+    7 J { target },
+    8 Call { func, unwind },
+    9 CallIndirect { rs, unwind },
+    10 CallIntrinsic { which, nargs <= ARG_REGS },
+    11 Ret,
+    12 Unwind,
+    13 MovSym { rd, sym },
+    14 FMov(a, b),
+    15 FAlu { op, fs1, fs2, fd, is32 },
+    16 FSet { op, rd, fs1, fs2, is32 },
+    17 CvtIF { fd, rs, to32, signed },
+    18 CvtFI { rd, fs, from32, signed },
+    19 CvtFF { fd, fs, to32 },
+    20 MovGF(r, f),
+    21 MovFG(f, r),
+});
+tagged!(RegOrImm { 0 Reg(r), 1 Imm(v) });
+plain!(
+    AluOp { Add, Sub, Mul, Sdiv, Udiv, Srem, Urem, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu },
+    BrCond { Eq, Ne, Lt, Ge, Ltu, Geu },
+    FSetOp { Feq, Flt, Fle },
+);
+register!(Reg < GPRS, FReg < FPRS);
+
 /// A translated RISC-V program.
 pub type RiscvProgram = Program<RiscvInst>;
 
@@ -370,7 +406,7 @@ impl Isa for RiscvInst {
 
     /// Arguments in `a0`–`a7`, extras on the stack.
     fn enter(cpu: &mut Cpu, args: &[u64]) -> Result<(), TrapKind> {
-        cpu.pass_in_registers(A0.0 as usize, 8, Self::SP, args)
+        cpu.pass_in_registers(A0.0 as usize, ARG_REGS.into(), Self::SP, args)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -509,7 +545,7 @@ impl Isa for RiscvInst {
             I::Ret => return Ok(Flow::Ret),
             I::Unwind => return Ok(Flow::Unwind),
             I::MovSym { rd, sym } => {
-                set(regs, *rd, program.resolve(*sym));
+                set(regs, *rd, program.resolve(*sym)?);
                 cycles = 2; // auipc + addi
             }
             I::FMov(d, s) => regs.fpr[d.0 as usize] = regs.fpr[s.0 as usize],

@@ -9,9 +9,10 @@
 //! uses an explicit callee-save discipline instead), no branch delay
 //! slots, and return addresses live in a simulator-internal frame stack.
 
+use crate::codec::{plain, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
 use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
-use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
+use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs, FPRS, GPRS};
 use llva_core::intrinsics::Intrinsic;
 
 /// An integer register number (0–31; register 0 always reads zero).
@@ -32,6 +33,8 @@ pub const G2: Reg = Reg(2);
 pub const G3: Reg = Reg(3);
 /// Scratch register `%g4` (used for address materialization).
 pub const G4: Reg = Reg(4);
+/// Arguments passed in registers, `%o0`–`%o5`.
+pub const ARG_REGS: u8 = 6;
 
 /// A float register number (0–15, each 64 bits wide).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -310,6 +313,39 @@ pub enum SparcInst {
     MovFG(FReg, Reg),
 }
 
+// The cached-code format (see `crate::codec`).
+tagged!(SparcInst {
+    0 Sethi { imm22, rd },
+    1 Alu { op, rs1, rhs, rd, trapping },
+    2 Cmp { rs1, rhs },
+    3 Ld { rd, rs1, off, width, signed },
+    4 St { rs, rs1, off, width },
+    5 LdF { fd, rs1, off, is32 },
+    6 StF { fs, rs1, off, is32 },
+    7 Br { cond, target },
+    8 Ba { target },
+    9 Call { func, unwind },
+    10 CallIndirect { rs, unwind },
+    11 CallIntrinsic { which, nargs <= ARG_REGS },
+    12 Ret,
+    13 Unwind,
+    14 MovSym { rd, sym },
+    15 FMov(a, b),
+    16 FAlu { op, fs1, fs2, fd, is32 },
+    17 FCmp { fs1, fs2, is32 },
+    18 CvtIF { fd, rs, to32, signed },
+    19 CvtFI { rd, fs, from32, signed },
+    20 CvtFF { fd, fs, to32 },
+    21 MovGF(r, f),
+    22 MovFG(f, r),
+});
+tagged!(RegOrImm { 0 Reg(r), 1 Imm(v) });
+plain!(
+    AluOp { Add, Sub, Mul, Sdiv, Udiv, Srem, Urem, And, Or, Xor, Sll, Srl, Sra },
+    Cond { E, Ne, L, G, Le, Ge, Lu, Gu, Leu, Geu },
+);
+register!(Reg < GPRS, FReg < FPRS);
+
 /// A translated SPARC-like program.
 pub type SparcProgram = Program<SparcInst>;
 
@@ -350,7 +386,7 @@ impl Isa for SparcInst {
 
     /// Arguments in `%o0`–`%o5`, extras on the stack.
     fn enter(cpu: &mut Cpu, args: &[u64]) -> Result<(), TrapKind> {
-        cpu.pass_in_registers(O0.0 as usize, 6, Self::SP, args)
+        cpu.pass_in_registers(O0.0 as usize, ARG_REGS.into(), Self::SP, args)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -487,7 +523,7 @@ impl Isa for SparcInst {
             I::Ret => return Ok(Flow::Ret),
             I::Unwind => return Ok(Flow::Unwind),
             I::MovSym { rd, sym } => {
-                set(regs, *rd, program.resolve(*sym));
+                set(regs, *rd, program.resolve(*sym)?);
                 cycles = 2; // sethi + or
             }
             I::FMov(d, s) => regs.fpr[d.0 as usize] = regs.fpr[s.0 as usize],

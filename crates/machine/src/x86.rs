@@ -12,6 +12,7 @@
 //! approximate real IA-32 encodings and feed the "Native size" column
 //! of Table 2.
 
+use crate::codec::{plain, register, tagged, Field, Reader, Result as CodecResult};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
 use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
 use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
@@ -322,6 +323,65 @@ pub enum X86Inst {
     ZeroExtend(Gpr, Width),
 }
 
+// The cached-code format (see `crate::codec`).
+tagged!(X86Inst {
+    0 MovRI(r, v),
+    1 MovRR(a, b),
+    2 MovRSym(r, s),
+    3 Load { dst, mem, width, signed },
+    4 Store { src, mem, width },
+    5 Lea(r, m),
+    6 AluRR(op, a, b, n),
+    7 AluRI(op, a, v, n),
+    8 AluRM(op, a, m, n),
+    9 IMulRR(a, b, n),
+    10 IMulRM(a, m, n),
+    11 Cdq,
+    12 Div { signed, divisor, trapping, norm },
+    13 CmpRR(a, b),
+    14 CmpRI(a, v),
+    15 CmpRM(a, m),
+    16 Setcc(c, r),
+    17 Jmp(t),
+    18 Jcc(c, t),
+    19 CallFn { func, unwind },
+    20 CallIndirect { target, unwind },
+    21 CallIntrinsic { which, nargs },
+    22 Ret,
+    23 Unwind,
+    24 Push(r),
+    25 Pop(r),
+    26 FLoad { dst, mem, is32 },
+    27 FStore { src, mem, is32 },
+    28 FMovRR(a, b),
+    29 FAlu(op, a, b, is32),
+    30 FCmp(a, b, is32),
+    31 CvtIF { dst, src, to32, signed },
+    32 CvtFI { dst, src, from32, signed },
+    33 CvtFF { dst, src, to32 },
+    34 MovGF(g, f),
+    35 MovFG(f, g),
+    36 SignExtend(r, w),
+    37 ZeroExtend(r, w),
+});
+plain!(
+    Gpr { Eax, Ecx, Edx, Ebx, Esp, Ebp, Esi, Edi },
+    AluOp { Add, Sub, And, Or, Xor, Shl, Shr, Sar },
+    Cond { E, Ne, L, G, Le, Ge, B, A, Be, Ae },
+    Norm { None, Sext32, Zext32 },
+);
+register!(Fpr < 8);
+
+impl Field for MemOp {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.base.put(out);
+        self.disp.put(out);
+    }
+    fn take(r: &mut Reader<'_>) -> CodecResult<MemOp> {
+        Ok(MemOp { base: Field::take(r)?, disp: Field::take(r)? })
+    }
+}
+
 /// A translated IA-32-like program.
 pub type X86Program = Program<X86Inst>;
 
@@ -337,7 +397,7 @@ fn addr(regs: &Regs, m: MemOp) -> u64 {
 }
 
 fn push(regs: &mut Regs, mem: &mut Memory, v: u64) -> Result<(), TrapKind> {
-    let sp = regs.gpr[ESP] - 8;
+    let sp = regs.gpr[ESP].wrapping_sub(8);
     if sp < mem.stack_limit() {
         return Err(TrapKind::StackOverflow);
     }
@@ -428,7 +488,7 @@ impl Isa for X86Inst {
         match self {
             I::MovRI(d, v) => regs.gpr[*d as usize] = *v as u64,
             I::MovRR(d, s) => regs.gpr[*d as usize] = regs.gpr[*s as usize],
-            I::MovRSym(d, sym) => regs.gpr[*d as usize] = program.resolve(*sym),
+            I::MovRSym(d, sym) => regs.gpr[*d as usize] = program.resolve(*sym)?,
             I::Load {
                 dst,
                 mem: m,
@@ -934,6 +994,26 @@ mod tests {
         let mut m = machine();
         m.call_entry(0, &[]).unwrap();
         assert_eq!(m.run(&program, 100), Exit::OutOfFuel);
+    }
+
+    /// Code only a tampered cache entry holds (decode admits it): it
+    /// traps instead of panicking the simulator.
+    #[test]
+    fn unknown_global_and_wild_stack_pointer_trap() {
+        use X86Inst as I;
+        for code in [
+            vec![I::MovRSym(Gpr::Eax, Sym::Global(9)), I::Ret],
+            vec![I::MovRI(Gpr::Esp, 0), I::Push(Gpr::Eax), I::Ret],
+        ] {
+            let mut program = X86Program::new(1, vec![]);
+            program.install(0, code);
+            let mut m = machine();
+            m.call_entry(0, &[]).unwrap();
+            match m.run(&program, 100) {
+                Exit::Trapped(t) => assert_eq!(t.kind, TrapKind::MemoryFault),
+                other => panic!("expected trap, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,15 @@
 //! same case set, and a failing input is reproducible from the seed.
 
 use llva::core::bytecode::{decode_module, encode_module};
+use llva::core::layout::TargetConfig;
+use llva::core::module::{FuncId, Module};
 use llva::engine::codec;
+use llva::machine::codec::{decode, encode, Field};
+use llva::machine::riscv::RiscvInst;
+use llva::machine::sparc::SparcInst;
+use llva::machine::x86::X86Inst;
+use llva::machine::{Exit, Isa, Machine, Memory, Program, GLOBAL_BASE};
+use std::fmt::Debug;
 
 /// Deterministic xorshift64* PRNG (no external deps).
 struct Rng(u64);
@@ -162,22 +170,23 @@ fn native_codec_decode_never_panics() {
     for _ in 0..4000 {
         let len = rng.usize(192);
         let buf = rng.bytes(len);
-        let _ = codec::decode_x86(&buf);
-        let _ = codec::decode_sparc(&buf);
-        let _ = codec::decode_riscv(&buf);
+        let _ = decode::<X86Inst>(&buf);
+        let _ = decode::<SparcInst>(&buf);
+        let _ = decode::<RiscvInst>(&buf);
         let _ = codec::unframe_entry("some.key", &buf);
     }
 }
 
-/// Mutation fuzzing of the RISC-V codec: start from *well-formed*
-/// encodings of real translated functions, then bit-flip, overwrite,
-/// and truncate them. Corruptions near valid structure probe deeper
-/// decoder states than pure random bytes (tags decode, then counts,
-/// operands, and register fields go wrong); every one must surface as
-/// `Err`, never a panic, and a blob that still round-trips must equal
-/// what a fresh decode says it is.
+/// Mutation storm over the native-code codec of every ISA: start from
+/// the *well-formed* encoding of a real translated function, then
+/// truncate it and overwrite bytes. Corruptions near valid structure
+/// reach deeper decoder states than random bytes (tags decode, then
+/// operands and register fields go wrong). A blob the codec accepts
+/// must re-encode to what it decoded to, and must run on its simulated
+/// processor without panicking: a crafted cache entry can carry a
+/// valid frame checksum, so decode is the last check before `exec`.
 #[test]
-fn riscv_codec_survives_mutations_of_valid_blobs() {
+fn native_codecs_survive_mutations_and_execution() {
     let src = r#"
 int %grind(int %n) {
 entry:
@@ -196,12 +205,26 @@ rec:
     ret int %m
 }
 "#;
-    let mut module = llva::core::parser::parse_module(src).expect("parses");
-    module.set_target(llva::core::layout::TargetConfig::riscv64());
+    let module = llva::core::parser::parse_module(src).expect("parses");
+    storm(&module, TargetConfig::ia32(), llva::backend::compile_x86, 0x86);
+    storm(&module, TargetConfig::sparc_v9(), llva::backend::compile_sparc, 0x5a4c);
+    storm(&module, TargetConfig::riscv64(), llva::backend::compile_riscv, 0x715c);
+}
+
+fn storm<I: Isa + Field + PartialEq + Debug>(
+    module: &Module,
+    cfg: TargetConfig,
+    compile: fn(&Module, FuncId) -> Vec<I>,
+    seed: u64,
+) {
+    let mut module = module.clone();
+    module.set_target(cfg);
     let fid = *module.function_ids().first().expect("one function");
-    let code = llva::backend::compile_riscv(&module, fid);
-    let blob = codec::encode_riscv(&code);
-    let mut rng = Rng::new(0x715c_u64);
+    let code = compile(&module, fid);
+    let blob = encode(&code);
+    assert_eq!(decode::<I>(&blob).expect("own encoding decodes"), code);
+    let mut rng = Rng::new(seed);
+    let mut ran = 0;
     for _ in 0..4000 {
         let mut corrupt = blob.clone();
         // truncate, then mutate 1..=4 bytes
@@ -214,12 +237,29 @@ rec:
                 corrupt[at] = rng.next() as u8;
             }
         }
-        if let Ok(decoded) = codec::decode_riscv(&corrupt) {
-            // a mutation the codec accepts must still be
-            // re-encodable: decode is total on its own image
-            let reencoded = codec::encode_riscv(&decoded);
-            let redecoded = codec::decode_riscv(&reencoded).expect("round trip");
-            assert_eq!(decoded, redecoded);
+        let Ok(decoded) = decode::<I>(&corrupt) else {
+            continue;
+        };
+        assert_eq!(decode::<I>(&encode(&decoded)).expect("round trip"), decoded);
+        run(decoded, cfg);
+        ran += 1;
+    }
+    assert!(ran >= 100, "only {ran} mutants decoded: the storm must reach exec");
+}
+
+/// Runs `code` as function 0 of a one-global program with bounded fuel,
+/// answering every intrinsic with 0.
+fn run<I: Isa>(code: Vec<I>, cfg: TargetConfig) {
+    let mut program = Program::new(1, vec![GLOBAL_BASE]);
+    program.install(0, code);
+    let mut machine = Machine::<I>::new(Memory::new(1 << 16, GLOBAL_BASE + 64, cfg.endianness));
+    if machine.call_entry(0, &[5]).is_err() {
+        return;
+    }
+    for _ in 0..8 {
+        match machine.run(&program, 2000) {
+            Exit::Intrinsic { .. } => machine.finish_intrinsic(0),
+            _ => return,
         }
     }
 }

@@ -18,8 +18,8 @@ use llva::conform::gen::{generate, GenConfig};
 use llva::core::bytecode::{decode_module, encode_module};
 use llva::core::layout::TargetConfig;
 use llva::core::module::Module;
-use llva::engine::codec;
 use llva::engine::llee::TargetIsa;
+use llva::machine::codec::encode;
 
 const BUILDS: usize = 3;
 
@@ -85,9 +85,9 @@ fn native(module: &Module, isa: TargetIsa) -> Vec<Vec<u8>> {
     m.functions()
         .filter(|(_, f)| !f.is_declaration())
         .map(|(fid, _)| match isa {
-            TargetIsa::X86 => codec::encode_x86(&llva::backend::compile_x86(&m, fid)),
-            TargetIsa::Sparc => codec::encode_sparc(&llva::backend::compile_sparc(&m, fid)),
-            TargetIsa::Riscv => codec::encode_riscv(&llva::backend::compile_riscv(&m, fid)),
+            TargetIsa::X86 => encode(&llva::backend::compile_x86(&m, fid)),
+            TargetIsa::Sparc => encode(&llva::backend::compile_sparc(&m, fid)),
+            TargetIsa::Riscv => encode(&llva::backend::compile_riscv(&m, fid)),
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //! the code it *produces*.
 //!
 //! For each ISA the table holds, per function, the native instruction
-//! count and the FNV-1a hash of the function's `engine::codec`
+//! count and the FNV-1a hash of the function's `machine::codec`
 //! encoding, peephole pass on: the 17 Table 2 programs and 32 generated
 //! modules after the link-time pipeline, the trap corpus and the
 //! `invoke` module of `machine_golden.rs`, and the naive x86 translator
@@ -21,8 +21,8 @@ use llva::conform::gen::{generate, GenConfig};
 use llva::core::bytecode::{decode_module, encode_module};
 use llva::core::layout::TargetConfig;
 use llva::core::module::{FuncId, Module};
-use llva::engine::codec;
 use llva::engine::llee::TargetIsa;
+use llva::machine::codec::encode;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/native.txt");
@@ -40,22 +40,22 @@ type Translate = fn(&Module, FuncId) -> (usize, Vec<u8>);
 
 fn x86(m: &Module, f: FuncId) -> (usize, Vec<u8>) {
     let code = compile_x86(m, f);
-    (code.len(), codec::encode_x86(&code))
+    (code.len(), encode(&code))
 }
 
 fn x86_naive(m: &Module, f: FuncId) -> (usize, Vec<u8>) {
     let code = compile_x86_naive(m, f);
-    (code.len(), codec::encode_x86(&code))
+    (code.len(), encode(&code))
 }
 
 fn sparc(m: &Module, f: FuncId) -> (usize, Vec<u8>) {
     let code = compile_sparc(m, f);
-    (code.len(), codec::encode_sparc(&code))
+    (code.len(), encode(&code))
 }
 
 fn riscv(m: &Module, f: FuncId) -> (usize, Vec<u8>) {
     let code = compile_riscv(m, f);
-    (code.len(), codec::encode_riscv(&code))
+    (code.len(), encode(&code))
 }
 
 /// One row per defined function of `module`, translated for `cfg`.
