@@ -11,21 +11,29 @@
 //! translated from its decoded bytecode, so native code depends on the
 //! bytes only.
 //!
-//! On a mismatch the test writes the table it computed next to the
-//! build's other test output and names the file; copying it over
-//! `tests/golden/native.txt` re-records the table, which is only right
-//! when the emitted code was *meant* to change.
+//! A second table, `tests/golden/image.txt`, pins the module image
+//! format over the same modules: one row per module with the size and
+//! FNV-1a of the image holding its bytecode and every function's
+//! predecode record.
+//!
+//! On a mismatch a test writes the table it computed next to the
+//! build's other test output and names the file; copying it over the
+//! golden file re-records the table, which is only right when the
+//! emitted bytes were *meant* to change.
 
 use llva::backend::{compile_riscv, compile_sparc, compile_x86, compile_x86_naive};
 use llva::conform::gen::{generate, GenConfig};
 use llva::core::bytecode::{decode_module, encode_module};
 use llva::core::layout::TargetConfig;
 use llva::core::module::{FuncId, Module};
+use llva::engine::image::ImageBuilder;
 use llva::engine::llee::TargetIsa;
+use llva::engine::PreModule;
 use llva::machine::codec::encode;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/native.txt");
+const IMAGE_GOLDEN: &str = include_str!("golden/image.txt");
 const TRAPS: &str = include_str!("golden/traps.ll");
 const INVOKE: &str = include_str!("golden/invoke.ll");
 
@@ -72,14 +80,16 @@ fn rows(out: &mut String, tag: &str, label: &str, module: &Module, cfg: TargetCo
     }
 }
 
-fn table() -> String {
-    let programs: Vec<(&str, Module)> = llva::workloads::all()
+/// The module set: the 17 Table 2 programs and 32 generated modules
+/// after the link-time pipeline, then the trap corpus and `invoke`.
+fn corpus() -> Vec<(String, Module)> {
+    let mut out: Vec<(String, Module)> = llva::workloads::all()
         .iter()
         .map(|w| {
             let mut m = llva::minic::compile(w.source, w.name, TargetConfig::default())
                 .expect("compiles");
             llva::opt::link_time_pipeline(&["main"]).run(&mut m);
-            (w.name, m)
+            (w.name.to_string(), m)
         })
         .collect();
     let cfg = GenConfig {
@@ -89,17 +99,20 @@ fn table() -> String {
         array_len: 32,
         num_slots: 4,
     };
-    let generated: Vec<(String, Module)> = (0..32)
-        .map(|seed| {
-            let tc = generate(seed, &cfg);
-            let mut m = tc.module;
-            llva::opt::link_time_pipeline(&[tc.entry.as_str()]).run(&mut m);
-            (format!("seed{seed}"), m)
-        })
-        .collect();
-    let traps = llva::core::parser::parse_module(TRAPS).expect("parses");
-    let invoke = llva::core::parser::parse_module(INVOKE).expect("parses");
+    out.extend((0..32).map(|seed| {
+        let tc = generate(seed, &cfg);
+        let mut m = tc.module;
+        llva::opt::link_time_pipeline(&[tc.entry.as_str()]).run(&mut m);
+        (format!("seed{seed}"), m)
+    }));
+    for (name, text) in [("traps", TRAPS), ("invoke", INVOKE)] {
+        out.push((name.to_string(), llva::core::parser::parse_module(text).expect("parses")));
+    }
+    out
+}
 
+fn table(corpus: &[(String, Module)]) -> String {
+    let programs = &corpus[..llva::workloads::all().len()];
     let mut out = String::new();
     for isa in TargetIsa::ALL {
         let translate: Translate = match isa {
@@ -109,36 +122,59 @@ fn table() -> String {
         };
         let tag = isa.to_string();
         let cfg = isa.target_config();
-        for (name, m) in &programs {
+        for (name, m) in corpus {
             rows(&mut out, &tag, name, m, cfg, translate);
         }
-        for (name, m) in &generated {
-            rows(&mut out, &tag, name, m, cfg, translate);
-        }
-        rows(&mut out, &tag, "traps", &traps, cfg, translate);
-        rows(&mut out, &tag, "invoke", &invoke, cfg, translate);
     }
-    for (name, m) in &programs {
+    for (name, m) in programs {
         rows(&mut out, "x86-naive", name, m, TargetIsa::X86.target_config(), x86_naive);
     }
     out
 }
 
-#[test]
-fn native_code_matches_the_recorded_table() {
-    let got = table();
-    if got == GOLDEN {
+/// One row per module: its image with the bytecode and predecode
+/// sections, built from the decoded bytecode.
+fn image_table(corpus: &[(String, Module)]) -> String {
+    let mut out = String::new();
+    for (name, module) in corpus {
+        let m = decode_module(&encode_module(module)).expect("own encoding decodes");
+        let pre = PreModule::new(&m);
+        pre.decode_all();
+        let mut builder = ImageBuilder::new(&m);
+        builder.add_predecode(&pre);
+        let bytes = builder.finish();
+        writeln!(out, "{name}: bytes {} fnv {:016x}", bytes.len(), fnv1a(&bytes))
+            .expect("writes to a String");
+    }
+    out
+}
+
+/// Passes when `got` equals the recorded table; otherwise writes `got`
+/// to `file` in the test output directory and names the first
+/// difference.
+fn check(got: &str, golden: &str, file: &str) {
+    if got == golden {
         return;
     }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("native.txt");
-    std::fs::write(&path, &got).expect("writes the computed table");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    std::fs::write(&path, got).expect("writes the computed table");
     let first = got
         .lines()
-        .zip(GOLDEN.lines())
+        .zip(golden.lines())
         .find(|(g, w)| g != w)
         .map_or_else(
             || "the tables differ in length".to_string(),
             |(g, w)| format!("first difference:\n  recorded: {w}\n  computed: {g}"),
         );
     panic!("{first}\n(computed table written to {})", path.display());
+}
+
+#[test]
+fn native_code_matches_the_recorded_table() {
+    check(&table(&corpus()), GOLDEN, "native.txt");
+}
+
+#[test]
+fn images_match_the_recorded_table() {
+    check(&image_table(&corpus()), IMAGE_GOLDEN, "image.txt");
 }
