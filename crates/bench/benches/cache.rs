@@ -68,7 +68,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| llva_machine::codec::encode(&code));
     });
     group.bench_function("decode_x86", |b| {
-        b.iter(|| llva_machine::codec::decode::<X86Inst>(&blob).expect("decodes"));
+        b.iter(|| llva_machine::codec::decode::<Vec<X86Inst>>(&blob).expect("decodes"));
     });
     // bytecode (virtual object code) for comparison
     group.bench_function("encode_bytecode", |b| {

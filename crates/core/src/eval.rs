@@ -2,9 +2,10 @@
 //!
 //! Shared by the constant-folding optimizer and the code generators.
 //! Semantics match the reference interpreter in `llva-engine`: integer
-//! arithmetic wraps at the type width, shifts mask the shift amount,
-//! division by zero does *not* fold (it must trap — or not — at run
-//! time depending on `ExceptionsEnabled`).
+//! arithmetic wraps at the type width, shifts use the amount's low six
+//! bits at every width (an amount at or past a narrow type's width
+//! shifts every bit out), division by zero does *not* fold (it must
+//! trap — or not — at run time depending on `ExceptionsEnabled`).
 
 use crate::instruction::Opcode;
 use crate::types::{TypeId, TypeKind, TypeTable};
@@ -108,12 +109,11 @@ fn fold_int_binary(op: Opcode, a: u64, b: u64, width: u32, signed: bool) -> Opti
         Opcode::And => a & b,
         Opcode::Or => a | b,
         Opcode::Xor => a ^ b,
-        Opcode::Shl => {
-            let sh = (b % u64::from(width.max(1))) as u32;
-            a.wrapping_shl(sh)
-        }
+        // the executors shift by the amount's low six bits whatever
+        // the width, so an amount >= the width shifts bits out
+        Opcode::Shl => a.wrapping_shl((b & 63) as u32),
         Opcode::Shr => {
-            let sh = (b % u64::from(width.max(1))) as u32;
+            let sh = (b & 63) as u32;
             if signed {
                 (sign_extend(a, width) >> sh) as u64
             } else {

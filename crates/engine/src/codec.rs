@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn frame_round_trip() {
-        let payload = encode(&[X86Inst::Ret]);
+        let payload = encode(&[X86Inst::Ret][..]);
         let framed = frame_entry("m.x86.fn0", &payload);
         assert_eq!(
             unframe_entry("m.x86.fn0", &framed).expect("valid"),
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn frame_rejects_any_single_bit_flip() {
-        let framed = frame_entry("k", &encode(&[X86Inst::Ret, X86Inst::Cdq]));
+        let framed = frame_entry("k", &encode(&[X86Inst::Ret, X86Inst::Cdq][..]));
         for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut bad = framed.clone();

@@ -14,6 +14,7 @@ use llva_core::instruction::{InstId, Opcode};
 use llva_core::module::{FuncId, Module};
 use llva_core::types::{TypeId, TypeKind};
 use llva_core::value::{Constant, ValueId};
+use llva_machine::codec::{Field, Reader};
 use llva_machine::common::TrapKind;
 use llva_machine::memory::Memory;
 use llva_machine::x86::{function_value, FUNC_TAG};
@@ -33,6 +34,15 @@ pub const DEFAULT_MEMORY_SIZE: u64 = 1 << 24;
 /// pre-decode time).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Name(Arc<str>);
+
+impl Field for Name {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn take(r: &mut Reader<'_>) -> llva_machine::codec::Result<Name> {
+        Field::take(r).map(Name)
+    }
+}
 
 impl Name {
     /// Interns `s`.
@@ -591,11 +601,10 @@ impl<'m> Interpreter<'m> {
                 let pointee = tt.pointee(result_ty).expect("alloca pointer");
                 let unit = self.module.target().size_of(tt, pointee).max(1);
                 let count = ops.first().map(|&c| self.value(c)).unwrap_or(1);
-                let size = (unit * count + 7) & !7;
-                if self.sp < self.mem.stack_limit() + size {
+                let Some(sp) = alloca_sp(self.sp, self.mem.stack_limit(), unit, count) else {
                     return Err(self.trap(TrapKind::StackOverflow));
-                }
-                self.sp -= size;
+                };
+                self.sp = sp;
                 let addr = self.sp;
                 self.set_value(result_val.expect("alloca result"), addr);
                 self.advance();
@@ -766,6 +775,14 @@ pub(crate) fn int_binary(op: Opcode, a: u64, b: u64, width: u32, signed: bool) -
         _ => unreachable!(),
     };
     Some(canonicalize(raw, width, signed))
+}
+
+/// The stack pointer after an `alloca` of `count` × `unit` bytes,
+/// rounded up to 8, below `sp`; `None` — a stack overflow — when it
+/// would pass `limit` or the size does not fit in 64 bits.
+pub(crate) fn alloca_sp(sp: u64, limit: u64, unit: u64, count: u64) -> Option<u64> {
+    let size = unit.checked_mul(count)?.checked_add(7)? & !7;
+    sp.checked_sub(size).filter(|&sp| sp >= limit)
 }
 
 pub(crate) fn canonicalize(v: u64, width: u32, signed: bool) -> u64 {

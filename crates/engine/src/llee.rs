@@ -347,7 +347,7 @@ impl<I: Target> Engine for Native<I> {
         self.program.ensure_slots(n);
     }
     fn install_blob(&mut self, f: u32, blob: &[u8]) -> bool {
-        decode::<I>(blob).map(|code| self.program.install(f, code)).is_ok()
+        decode::<Vec<I>>(blob).map(|code| self.program.install(f, code)).is_ok()
     }
     fn encoded(&self, f: u32) -> Option<Vec<u8>> {
         self.program.code(f).map(encode)
@@ -630,7 +630,7 @@ impl ExecutionManager {
     /// blobs or a corrupt section fall back to cache/JIT
     /// (`image_corrupt`). Returns how many functions the index covers.
     pub fn set_image(&mut self, image: std::sync::Arc<crate::image::LlvaImage>) -> usize {
-        let mut entries = match image.native_entry_ranges(self.isa) {
+        let mut entries = match image.entries(crate::image::SectionKind::Native(self.isa)) {
             Ok(entries) => entries,
             Err(_) => {
                 // absent is a quiet miss; corrupt is worth counting

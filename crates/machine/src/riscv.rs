@@ -326,7 +326,7 @@ tagged!(RiscvInst {
     7 J { target },
     8 Call { func, unwind },
     9 CallIndirect { rs, unwind },
-    10 CallIntrinsic { which, nargs <= ARG_REGS },
+    10 CallIntrinsic { which, nargs in ..=ARG_REGS },
     11 Ret,
     12 Unwind,
     13 MovSym { rd, sym },

@@ -326,7 +326,7 @@ tagged!(SparcInst {
     8 Ba { target },
     9 Call { func, unwind },
     10 CallIndirect { rs, unwind },
-    11 CallIntrinsic { which, nargs <= ARG_REGS },
+    11 CallIntrinsic { which, nargs in ..=ARG_REGS },
     12 Ret,
     13 Unwind,
     14 MovSym { rd, sym },

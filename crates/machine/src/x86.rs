@@ -12,7 +12,7 @@
 //! approximate real IA-32 encodings and feed the "Native size" column
 //! of Table 2.
 
-use crate::codec::{plain, register, tagged, Field, Reader, Result as CodecResult};
+use crate::codec::{plain, record, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
 use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
 use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
@@ -372,15 +372,7 @@ plain!(
 );
 register!(Fpr < 8);
 
-impl Field for MemOp {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.base.put(out);
-        self.disp.put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> CodecResult<MemOp> {
-        Ok(MemOp { base: Field::take(r)?, disp: Field::take(r)? })
-    }
-}
+record!(MemOp { base, disp });
 
 /// A translated IA-32-like program.
 pub type X86Program = Program<X86Inst>;

@@ -269,3 +269,35 @@ fn bytecode_small_format_dominates_workloads() {
         );
     }
 }
+
+#[test]
+fn constant_shifts_fold_to_what_executors_compute() {
+    use llva::opt::constfold::ConstFold;
+    let types = [
+        ("sbyte", 8, true),
+        ("ubyte", 8, false),
+        ("short", 16, true),
+        ("ushort", 16, false),
+        ("int", 32, true),
+        ("uint", 32, false),
+        ("long", 64, true),
+        ("ulong", 64, false),
+    ];
+    for (ty, w, signed) in types {
+        // shr shifts the top bit, so an amount taken modulo the width
+        // and one taken modulo 64 give different answers
+        let top = if signed { format!("-{}", 1u128 << (w - 1)) } else { (1u128 << (w - 1)).to_string() };
+        for (op, value) in [("shl", "1".to_string()), ("shr", top)] {
+            for amount in [w - 1, w, w + 1, 63, 64] {
+                let src = format!("{ty} %main() {{\nentry:\n    %r = {op} {ty} {value}, {amount}\n    ret {ty} %r\n}}\n");
+                let mut m = llva::core::parser::parse_module(&src).expect("parses");
+                let unfolded = Interpreter::new(&m).run("main", &[]).expect("runs");
+                let mut pm = llva::opt::PassManager::new();
+                pm.add(ConstFold::new()).verify_after_each(true);
+                pm.run(&mut m);
+                let folded = Interpreter::new(&m).run("main", &[]).expect("runs");
+                assert_eq!(folded, unfolded, "{op} {ty} {value}, {amount}");
+            }
+        }
+    }
+}
