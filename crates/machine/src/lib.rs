@@ -23,9 +23,10 @@
 //! intrinsic calls (§3.5) exit to the engine, and all traps are precise
 //! ([`common::Trap`] names the exact faulting instruction).
 //!
-//! [`codec`] is the byte format LLEE caches translated code in; each
-//! ISA describes its instructions' part of it once, beside its `Isa`
-//! impl.
+//! [`codec`] is the one record codec: the byte format LLEE caches
+//! translated code in — each ISA describes its instructions' part of it
+//! once, beside its `Isa` impl — and the generic pieces that LLEE's
+//! image records and `llva-serve`'s wire messages are described with.
 
 pub mod codec;
 pub mod common;
