@@ -12,7 +12,9 @@
 //!    stored becomes a register move (or disappears entirely when it
 //!    would reload the same register).
 //! 3. **Branch-over-branch folding** — `bcond L1; jmp L2; L1:` becomes
-//!    `b!cond L2` when `L1` is the fall-through.
+//!    `b!cond L2` when `L1` is the fall-through. After a float compare
+//!    only equality folds: a NaN operand leaves the codes unordered,
+//!    where `<` and `>=` are both false.
 //!
 //! Because branch targets are instruction indices patched by the
 //! generators *before* this pass runs, deletion is two-phase: rules
@@ -93,9 +95,18 @@ pub trait PeepholeIsa {
     /// The target of an unconditional jump, if `inst` is one.
     fn jump_target(inst: &Self::Inst) -> Option<u32>;
 
+    /// Whether `inst` sets the condition codes from a float compare
+    /// (`Some(true)`) or an integer compare (`Some(false)`); `None` when
+    /// it leaves them alone.
+    fn float_compare(_inst: &Self::Inst) -> Option<bool> {
+        None
+    }
+
     /// The same conditional branch with its condition inverted and its
-    /// target replaced (operand order preserved).
-    fn invert_branch(inst: &Self::Inst, new_target: u32) -> Option<Self::Inst>;
+    /// target replaced (operand order preserved); `None` when the
+    /// condition has no inverse. `unordered`: the codes the branch
+    /// reads may come from a float compare with a NaN operand.
+    fn invert_branch(inst: &Self::Inst, new_target: u32, unordered: bool) -> Option<Self::Inst>;
 
     /// Every instruction index this instruction can transfer control
     /// to (branch/jump targets and `invoke` unwind pads).
@@ -156,6 +167,8 @@ pub fn run<I: PeepholeIsa>(
 
         // Rule 3: branch-over-branch. The jump must not be a branch
         // target (something else still needs to reach L2 through it).
+        // The branch reads the codes of the nearest compare before it,
+        // as in every generator's stream.
         for i in 0..code.len().saturating_sub(2) {
             if deleted[i] || deleted[i + 1] || jump_targets.contains(&(i as u32 + 1)) {
                 continue;
@@ -166,7 +179,8 @@ pub fn run<I: PeepholeIsa>(
             let Some(l2) = I::jump_target(&code[i + 1]) else {
                 continue;
             };
-            if let Some(inv) = I::invert_branch(&code[i], l2) {
+            let unordered = code[..i].iter().rev().find_map(I::float_compare) == Some(true);
+            if let Some(inv) = I::invert_branch(&code[i], l2, unordered) {
                 code[i] = inv;
                 deleted[i + 1] = true;
                 stats.branches_folded += 1;
@@ -268,9 +282,19 @@ mod x86_lens {
             }
         }
 
-        fn invert_branch(inst: &X86Inst, new_target: u32) -> Option<X86Inst> {
+        fn float_compare(inst: &X86Inst) -> Option<bool> {
             match inst {
-                X86Inst::Jcc(c, _) => Some(X86Inst::Jcc(invert(*c), new_target)),
+                X86Inst::CmpRR(..) | X86Inst::CmpRI(..) | X86Inst::CmpRM(..) => Some(false),
+                X86Inst::FCmp(..) => Some(true),
+                _ => None,
+            }
+        }
+
+        fn invert_branch(inst: &X86Inst, new_target: u32, unordered: bool) -> Option<X86Inst> {
+            match inst {
+                X86Inst::Jcc(c, _) if !unordered || matches!(c, Cond::E | Cond::Ne) => {
+                    Some(X86Inst::Jcc(invert(*c), new_target))
+                }
                 _ => None,
             }
         }
@@ -391,12 +415,22 @@ mod sparc_lens {
             }
         }
 
-        fn invert_branch(inst: &SparcInst, new_target: u32) -> Option<SparcInst> {
+        fn float_compare(inst: &SparcInst) -> Option<bool> {
             match inst {
-                SparcInst::Br { cond, .. } => Some(SparcInst::Br {
-                    cond: invert(*cond),
-                    target: new_target,
-                }),
+                SparcInst::Cmp { .. } => Some(false),
+                SparcInst::FCmp { .. } => Some(true),
+                _ => None,
+            }
+        }
+
+        fn invert_branch(inst: &SparcInst, new_target: u32, unordered: bool) -> Option<SparcInst> {
+            match inst {
+                SparcInst::Br { cond, .. } if !unordered || matches!(cond, Cond::E | Cond::Ne) => {
+                    Some(SparcInst::Br {
+                        cond: invert(*cond),
+                        target: new_target,
+                    })
+                }
                 _ => None,
             }
         }
@@ -505,7 +539,7 @@ mod riscv_lens {
             }
         }
 
-        fn invert_branch(inst: &RiscvInst, new_target: u32) -> Option<RiscvInst> {
+        fn invert_branch(inst: &RiscvInst, new_target: u32, _unordered: bool) -> Option<RiscvInst> {
             match inst {
                 RiscvInst::Br { cond, rs1, rs2, .. } => Some(RiscvInst::Br {
                     cond: invert(*cond),
