@@ -519,8 +519,18 @@ impl Target for Sparc {
     }
 
     fn set_cond(e: &mut E, cmp: InstId, rd: Reg) {
+        let float = e.types().is_float(e.vty(e.func.inst(cmp).operands()[0]));
         let cond = compare(e, cmp);
-        set_if(e, cond, rd);
+        if float {
+            // a NaN operand leaves the codes unordered, where `cond` and
+            // its inverse are both false: branch on `cond` past the 0
+            e.push(alu(AluOp::Or, G0, imm(1), rd));
+            let skip = e.code.len() as u32 + 2;
+            e.push(SparcInst::Br { cond, target: skip });
+            e.push(alu(AluOp::Or, G0, imm(0), rd));
+        } else {
+            set_if(e, cond, rd);
+        }
     }
 
     fn branch_if(e: &mut E, cond: ValueId, fused: Option<InstId>, target: BlockId) {
