@@ -685,27 +685,18 @@ impl<'a, T: Target> Lower<'a, T> {
     }
 
     fn float_binary(&mut self, id: InstId, op: Opcode, ops: &[ValueId], is32: bool) {
-        let [f0, f1, f2] = T::F;
+        let [f0, f1, _] = T::F;
         self.fload(ops[0], f0);
         self.fload(ops[1], f1);
         let fop = match op {
             Opcode::Add => FpOp::Add,
             Opcode::Sub => FpOp::Sub,
             Opcode::Mul => FpOp::Mul,
-            Opcode::Div | Opcode::Rem => FpOp::Div,
+            Opcode::Div => FpOp::Div,
+            Opcode::Rem => FpOp::Rem,
             _ => panic!("bitwise op on float"),
         };
-        if op == Opcode::Rem {
-            // x - trunc(x/y)*y
-            let t = T::SCRATCH[0];
-            T::falu(self, FpOp::Div, f2, f0, f1, is32);
-            self.push(T::cvt_fi(t, f2, is32, true));
-            self.push(T::cvt_if(f2, t, is32, true));
-            T::falu(self, FpOp::Mul, f2, f2, f1, is32);
-            T::falu(self, FpOp::Sub, f0, f0, f2, is32);
-        } else {
-            T::falu(self, fop, f0, f0, f1, is32);
-        }
+        T::falu(self, fop, f0, f0, f1, is32);
         self.fstore_result(id, f0);
     }
 
