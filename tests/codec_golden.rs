@@ -162,17 +162,24 @@ fn riscv_samples() -> Vec<riscv::RiscvInst> {
     v
 }
 
+/// Appends the `isa hex debug` line of `sample`, after checking that it
+/// decodes to itself, and returns its instruction tag.
+fn line<I: Field + Debug + PartialEq>(out: &mut String, isa: &str, sample: &I) -> u8 {
+    let blob = encode(std::slice::from_ref(sample));
+    let back = decode::<Vec<I>>(&blob).expect("decodes");
+    assert_eq!(back, std::slice::from_ref(sample), "{isa} {sample:?}");
+    let hex: String = blob[4..].iter().map(|b| format!("{b:02x}")).collect();
+    writeln!(out, "{isa} {hex} {sample:?}").expect("writes to a String");
+    blob[4]
+}
+
 /// Appends one `isa hex debug` line per sample, after checking that
 /// each decodes to itself and that the samples use every instruction
 /// tag the decoder accepts.
 fn rows<I: Field + Debug + PartialEq>(out: &mut String, isa: &str, samples: &[I]) {
     let mut used = BTreeSet::new();
     for s in samples {
-        let blob = encode(std::slice::from_ref(s));
-        assert_eq!(decode::<Vec<I>>(&blob).expect("decodes"), std::slice::from_ref(s), "{isa} {s:?}");
-        used.insert(blob[4]);
-        let hex: String = blob[4..].iter().map(|b| format!("{b:02x}")).collect();
-        writeln!(out, "{isa} {hex} {s:?}").expect("writes to a String");
+        used.insert(line(out, isa, s));
     }
     // with some number of all-zero operand bytes, every tag the
     // decoder knows decodes
@@ -194,6 +201,13 @@ fn every_variant_matches_the_recorded_bytes() {
     rows(&mut got, "x86", &x86_samples());
     rows(&mut got, "sparc", &sparc_samples());
     rows(&mut got, "riscv", &riscv_samples());
+    // operand values added after the table was first recorded, after
+    // every earlier row so those rows keep their lines
+    line(&mut got, "x86", &x86::X86Inst::FAlu(FpOp::Rem, x86::Fpr(0), x86::Fpr(1), false));
+    let (fs1, fs2, fd) = (sparc::FReg(0), sparc::FReg(1), sparc::FReg(2));
+    line(&mut got, "sparc", &sparc::SparcInst::FAlu { op: FpOp::Rem, fs1, fs2, fd, is32: true });
+    let (fs1, fs2, fd) = (riscv::FReg(0), riscv::FReg(1), riscv::FReg(2));
+    line(&mut got, "riscv", &riscv::RiscvInst::FAlu { op: FpOp::Rem, fs1, fs2, fd, is32: false });
     if got == GOLDEN {
         return;
     }
