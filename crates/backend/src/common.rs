@@ -149,25 +149,13 @@ fn write_scalar(cfg: &TargetConfig, out: &mut [u8], bits: u64) {
 
 /// The canonical 64-bit register representation of a constant: signed
 /// integers sign-extended, everything else zero-extended.
+///
+/// # Panics
+///
+/// Panics on an address constant, which is materialized symbolically.
 pub fn canonical_const(module: &Module, c: &Constant) -> u64 {
-    let tt = module.types();
-    match c {
-        Constant::Bool(b) => u64::from(*b),
-        Constant::Int { ty, bits } => {
-            let w = tt.int_bits(*ty).expect("integer type");
-            if tt.is_signed_integer(*ty) {
-                llva_core::eval::sign_extend(*bits, w) as u64
-            } else {
-                llva_core::eval::truncate(*bits, w)
-            }
-        }
-        Constant::Float { bits, .. } => *bits,
-        Constant::Null(_) => 0,
-        Constant::GlobalAddr { .. } | Constant::FunctionAddr { .. } => {
-            panic!("address constants are materialized symbolically")
-        }
-        Constant::Undef(_) => 0,
-    }
+    llva_core::eval::const_bits(module.types(), c)
+        .expect("address constants are materialized symbolically")
 }
 
 /// Memory access width and signedness for loads/stores of `ty`.
