@@ -1045,7 +1045,8 @@ pub fn repair_image_file(path: impl AsRef<Path>) -> Result<RepairReport> {
 mod tests {
     use super::*;
     use crate::interp::Interpreter;
-    use crate::predecode::{CastKind, CmpClass, FastInterpreter};
+    use crate::predecode::FastInterpreter;
+    use llva_core::eval::{CastKind, CmpClass};
     use llva_core::instruction::Opcode;
     use llva_machine::common::TrapKind;
     use llva_machine::Width;

@@ -9,6 +9,7 @@
 
 use crate::env::{Env, StackView};
 use llva_backend::common::{access_of, layout_globals};
+use llva_core::eval;
 use llva_core::function::BlockId;
 use llva_core::instruction::{InstId, Opcode};
 use llva_core::module::{FuncId, Module};
@@ -388,31 +389,17 @@ impl<'m> Interpreter<'m> {
             _ if op.is_binary() => {
                 let a = self.value(ops[0]);
                 let b = self.value(ops[1]);
-                let ty = result_ty;
-                let out = if tt.is_float(ty) {
-                    let is32 = matches!(tt.kind(ty), TypeKind::Float);
-                    let (x, y) = (from_bits(a, is32), from_bits(b, is32));
-                    let r = match op {
-                        Opcode::Add => x + y,
-                        Opcode::Sub => x - y,
-                        Opcode::Mul => x * y,
-                        Opcode::Div => x / y,
-                        Opcode::Rem => x % y,
-                        _ => return Err(self.trap(TrapKind::Software)),
-                    };
-                    to_bits(r, is32)
+                let out = if tt.is_float(result_ty) {
+                    let is32 = matches!(tt.kind(result_ty), TypeKind::Float);
+                    let out = eval::float_binary(op, a, b, is32);
+                    out.ok_or_else(|| self.trap(TrapKind::Software))?
                 } else {
-                    let w = tt.int_bits(ty).expect("integer binary op");
-                    let signed = tt.is_signed_integer(ty);
-                    match int_binary(op, a, b, w, signed) {
+                    let w = tt.int_bits(result_ty).expect("integer binary op");
+                    let signed = tt.is_signed_integer(result_ty);
+                    match eval::int_binary(op, a, b, w, signed) {
                         Some(v) => v,
-                        None => {
-                            // division by zero
-                            if exc {
-                                return Err(self.trap(TrapKind::DivideByZero));
-                            }
-                            0
-                        }
+                        None if exc => return Err(self.trap(TrapKind::DivideByZero)),
+                        None => 0,
                     }
                 };
                 self.set_value(result_val.expect("binary result"), out);
@@ -421,8 +408,7 @@ impl<'m> Interpreter<'m> {
             _ if op.is_comparison() => {
                 let a = self.value(ops[0]);
                 let b = self.value(ops[1]);
-                let ty = self.vty(ops[0]);
-                let r = compare(op, a, b, tt, ty);
+                let r = eval::compare(op, eval::cmp_class(tt, self.vty(ops[0])), a, b);
                 self.set_value(result_val.expect("cmp result"), u64::from(r));
                 self.advance();
             }
@@ -611,8 +597,7 @@ impl<'m> Interpreter<'m> {
             }
             Opcode::Cast => {
                 let v = self.value(ops[0]);
-                let from = self.vty(ops[0]);
-                let out = cast_value(tt, from, result_ty, v);
+                let out = eval::cast(eval::cast_kind(tt, self.vty(ops[0]), result_ty), v);
                 self.set_value(result_val.expect("cast result"), out);
                 self.advance();
             }
@@ -719,162 +704,12 @@ pub fn trap_number(kind: TrapKind) -> u32 {
     }
 }
 
-pub(crate) fn from_bits(bits: u64, is32: bool) -> f64 {
-    if is32 {
-        f32::from_bits(bits as u32) as f64
-    } else {
-        f64::from_bits(bits)
-    }
-}
-
-pub(crate) fn to_bits(v: f64, is32: bool) -> u64 {
-    if is32 {
-        (v as f32).to_bits() as u64
-    } else {
-        v.to_bits()
-    }
-}
-
-/// Canonicalizing integer binary op; `None` = division by zero.
-pub(crate) fn int_binary(op: Opcode, a: u64, b: u64, width: u32, signed: bool) -> Option<u64> {
-    let raw = match op {
-        Opcode::Add => a.wrapping_add(b),
-        Opcode::Sub => a.wrapping_sub(b),
-        Opcode::Mul => a.wrapping_mul(b),
-        Opcode::Div => {
-            if b == 0 {
-                return None;
-            }
-            if signed {
-                (a as i64).wrapping_div(b as i64) as u64
-            } else {
-                a / b
-            }
-        }
-        Opcode::Rem => {
-            if b == 0 {
-                return None;
-            }
-            if signed {
-                (a as i64).wrapping_rem(b as i64) as u64
-            } else {
-                a % b
-            }
-        }
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Shl => a.wrapping_shl((b & 63) as u32),
-        Opcode::Shr => {
-            if signed {
-                ((a as i64).wrapping_shr((b & 63) as u32)) as u64
-            } else {
-                a.wrapping_shr((b & 63) as u32)
-            }
-        }
-        _ => unreachable!(),
-    };
-    Some(canonicalize(raw, width, signed))
-}
-
 /// The stack pointer after an `alloca` of `count` × `unit` bytes,
 /// rounded up to 8, below `sp`; `None` — a stack overflow — when it
 /// would pass `limit` or the size does not fit in 64 bits.
 pub(crate) fn alloca_sp(sp: u64, limit: u64, unit: u64, count: u64) -> Option<u64> {
     let size = unit.checked_mul(count)?.checked_add(7)? & !7;
     sp.checked_sub(size).filter(|&sp| sp >= limit)
-}
-
-pub(crate) fn canonicalize(v: u64, width: u32, signed: bool) -> u64 {
-    if width >= 64 {
-        return v;
-    }
-    if signed {
-        llva_core::eval::sign_extend(v, width) as u64
-    } else {
-        llva_core::eval::truncate(v, width)
-    }
-}
-
-pub(crate) fn compare(
-    op: Opcode,
-    a: u64,
-    b: u64,
-    tt: &llva_core::types::TypeTable,
-    ty: TypeId,
-) -> bool {
-    use std::cmp::Ordering;
-    let ord = if tt.is_float(ty) {
-        let is32 = matches!(tt.kind(ty), TypeKind::Float);
-        let (x, y) = (from_bits(a, is32), from_bits(b, is32));
-        match x.partial_cmp(&y) {
-            Some(o) => o,
-            None => return matches!(op, Opcode::SetNe),
-        }
-    } else if tt.is_signed_integer(ty) {
-        (a as i64).cmp(&(b as i64))
-    } else {
-        a.cmp(&b)
-    };
-    match op {
-        Opcode::SetEq => ord == Ordering::Equal,
-        Opcode::SetNe => ord != Ordering::Equal,
-        Opcode::SetLt => ord == Ordering::Less,
-        Opcode::SetGt => ord == Ordering::Greater,
-        Opcode::SetLe => ord != Ordering::Greater,
-        Opcode::SetGe => ord != Ordering::Less,
-        _ => unreachable!(),
-    }
-}
-
-/// Runtime value cast, mirroring [`llva_core::eval::fold_cast`].
-pub fn cast_value(
-    tt: &llva_core::types::TypeTable,
-    from: TypeId,
-    to: TypeId,
-    v: u64,
-) -> u64 {
-    let to_kind = tt.kind(to).clone();
-    // float source?
-    if tt.is_float(from) {
-        let is32 = matches!(tt.kind(from), TypeKind::Float);
-        let x = from_bits(v, is32);
-        return match to_kind {
-            TypeKind::Float => to_bits(x, true),
-            TypeKind::Double => to_bits(x, false),
-            TypeKind::Bool => u64::from(x != 0.0),
-            _ if tt.is_integer(to) => {
-                let w = tt.int_bits(to).expect("int");
-                let raw = if tt.is_signed_integer(to) {
-                    (x as i64) as u64
-                } else {
-                    x as u64
-                };
-                canonicalize(raw, w, tt.is_signed_integer(to))
-            }
-            _ => v,
-        };
-    }
-    // integer / bool / pointer source (canonical u64)
-    match to_kind {
-        TypeKind::Bool => u64::from(v != 0),
-        TypeKind::Float => to_bits(int_as_f64(tt, from, v), true),
-        TypeKind::Double => to_bits(int_as_f64(tt, from, v), false),
-        TypeKind::Pointer(_) => v,
-        _ if tt.is_integer(to) => {
-            let w = tt.int_bits(to).expect("int");
-            canonicalize(v, w, tt.is_signed_integer(to))
-        }
-        _ => v,
-    }
-}
-
-fn int_as_f64(tt: &llva_core::types::TypeTable, from: TypeId, v: u64) -> f64 {
-    if tt.is_signed_integer(from) {
-        v as i64 as f64
-    } else {
-        v as f64
-    }
 }
 
 #[cfg(test)]

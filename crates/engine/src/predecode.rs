@@ -34,21 +34,19 @@
 //! this with a dedicated `fast-interp` oracle stage.
 
 use crate::env::{Env, StackView};
-use crate::interp::{
-    alloca_sp, canonicalize, from_bits, int_binary, to_bits, trap_number, InterpError, LlvaTrap,
-    Name, DEFAULT_MEMORY_SIZE,
-};
+use crate::interp::{alloca_sp, trap_number, InterpError, LlvaTrap, Name, DEFAULT_MEMORY_SIZE};
 use crate::traced::{
     CompiledTrace, TraceConfig, TraceEnd, TraceEngine, TraceExit, TraceOp, TraceStats,
 };
 use llva_backend::common::{access_of, canonical_const, layout_globals, GlobalImage};
+use llva_core::eval::{self, CastKind, CmpClass, INT_WIDTHS};
 use llva_core::function::{BlockId, Function};
 use llva_core::instruction::Opcode;
 use llva_core::intrinsics::Intrinsic;
 use llva_core::module::{FuncId, Module};
-use llva_core::types::{TypeId, TypeKind, TypeTable};
+use llva_core::types::{TypeId, TypeKind};
 use llva_core::value::{Constant, ValueId};
-use llva_machine::codec::{plain, record, tagged};
+use llva_machine::codec::{record, tagged};
 use llva_machine::common::TrapKind;
 use llva_machine::memory::Memory;
 use llva_machine::x86::{function_value, FUNC_TAG};
@@ -73,8 +71,6 @@ pub enum Src {
 // slots, edges and PCs against the record's own bounds.
 tagged!(Src { 0 Reg(r), 1 Imm(v) });
 
-/// The integer widths (`TypeTable::int_bits`) a record may hold.
-const INT_WIDTHS: [u32; 5] = [1, 8, 16, 32, 64];
 /// The opcodes each arithmetic variant's dispatch arm executes.
 const INT_OPS: [Opcode; 8] = [
     Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::And, Opcode::Or, Opcode::Xor, Opcode::Shl,
@@ -85,50 +81,6 @@ const FLOAT_OPS: [Opcode; 5] = [Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::D
 const CMP_OPS: [Opcode; 6] = [
     Opcode::SetEq, Opcode::SetNe, Opcode::SetLt, Opcode::SetGt, Opcode::SetLe, Opcode::SetGe,
 ];
-
-/// A pre-classified comparison, so the hot loop needs no type table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CmpClass {
-    /// Signed 64-bit integer ordering.
-    Sint,
-    /// Unsigned ordering (also bool and pointers).
-    Uint,
-    /// 32-bit float ordering (NaN compares unordered).
-    F32,
-    /// 64-bit float ordering.
-    F64,
-}
-
-plain!(CmpClass { Sint, Uint, F32, F64 });
-
-/// A pre-classified `cast`, mirroring [`crate::interp::cast_value`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CastKind {
-    /// Bit-identical (pointer↔int of same width, unknown targets).
-    Identity,
-    /// Integer/bool/pointer to bool: `v != 0`.
-    IntToBool,
-    /// Integer to integer: canonicalize to width/signedness.
-    IntToInt { width: u32, signed: bool },
-    /// Integer to float/double, respecting source signedness.
-    IntToFloat { src_signed: bool, dst32: bool },
-    /// Float/double to float/double.
-    FloatToFloat { src32: bool, dst32: bool },
-    /// Float/double to bool: `x != 0.0`.
-    FloatToBool { src32: bool },
-    /// Float/double to integer, canonicalized.
-    FloatToInt { src32: bool, width: u32, signed: bool },
-}
-
-tagged!(CastKind {
-    0 Identity,
-    1 IntToBool,
-    2 IntToInt { width in INT_WIDTHS, signed },
-    3 IntToFloat { src_signed, dst32 },
-    4 FloatToFloat { src32, dst32 },
-    5 FloatToBool { src32 },
-    6 FloatToInt { src32, width in INT_WIDTHS, signed },
-});
 
 /// One step of a pre-planned `getelementptr` address computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +118,8 @@ record!(Edge { target_pc, target_block, trap, moves });
 #[derive(Debug, Clone)]
 pub(crate) enum PreInst {
     /// Integer arithmetic/bitwise binary op that cannot trap (`div` and
-    /// `rem` decode as [`PreInst::IntDiv`], keeping this arm branchless).
+    /// `rem` decode as [`PreInst::IntDiv`], so `eval::int_binary` always
+    /// has a value here).
     IntBin { op: Opcode, a: Src, b: Src, dst: u32, width: u32, signed: bool },
     /// Integer `div`/`rem` — the only integer binary ops that can trap.
     IntDiv { op: Opcode, a: Src, b: Src, dst: u32, width: u32, signed: bool, exc: bool },
@@ -434,114 +387,6 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Pre-classifies a cast, mirroring [`crate::interp::cast_value`]
-/// branch for branch.
-fn cast_kind(tt: &TypeTable, from: TypeId, to: TypeId) -> CastKind {
-    if tt.is_float(from) {
-        let src32 = matches!(tt.kind(from), TypeKind::Float);
-        return match tt.kind(to) {
-            TypeKind::Float => CastKind::FloatToFloat { src32, dst32: true },
-            TypeKind::Double => CastKind::FloatToFloat { src32, dst32: false },
-            TypeKind::Bool => CastKind::FloatToBool { src32 },
-            _ if tt.is_integer(to) => CastKind::FloatToInt {
-                src32,
-                width: tt.int_bits(to).expect("int"),
-                signed: tt.is_signed_integer(to),
-            },
-            _ => CastKind::Identity,
-        };
-    }
-    match tt.kind(to) {
-        TypeKind::Bool => CastKind::IntToBool,
-        TypeKind::Float => CastKind::IntToFloat {
-            src_signed: tt.is_signed_integer(from),
-            dst32: true,
-        },
-        TypeKind::Double => CastKind::IntToFloat {
-            src_signed: tt.is_signed_integer(from),
-            dst32: false,
-        },
-        TypeKind::Pointer(_) => CastKind::Identity,
-        _ if tt.is_integer(to) => CastKind::IntToInt {
-            width: tt.int_bits(to).expect("int"),
-            signed: tt.is_signed_integer(to),
-        },
-        _ => CastKind::Identity,
-    }
-}
-
-/// Runtime half of [`cast_kind`].
-pub(crate) fn apply_cast(kind: CastKind, v: u64) -> u64 {
-    match kind {
-        CastKind::Identity => v,
-        CastKind::IntToBool => u64::from(v != 0),
-        CastKind::IntToInt { width, signed } => canonicalize(v, width, signed),
-        CastKind::IntToFloat { src_signed, dst32 } => {
-            let x = if src_signed { v as i64 as f64 } else { v as f64 };
-            to_bits(x, dst32)
-        }
-        CastKind::FloatToFloat { src32, dst32 } => to_bits(from_bits(v, src32), dst32),
-        CastKind::FloatToBool { src32 } => u64::from(from_bits(v, src32) != 0.0),
-        CastKind::FloatToInt { src32, width, signed } => {
-            let x = from_bits(v, src32);
-            let raw = if signed { (x as i64) as u64 } else { x as u64 };
-            canonicalize(raw, width, signed)
-        }
-    }
-}
-
-/// The infallible integer binary ops, inlined without the
-/// division-by-zero `Option` of [`int_binary`] (decode routes `div` and
-/// `rem` to [`PreInst::IntDiv`], so this never sees them).
-#[inline(always)]
-pub(crate) fn int_arith(op: Opcode, a: u64, b: u64, width: u32, signed: bool) -> u64 {
-    let raw = match op {
-        Opcode::Add => a.wrapping_add(b),
-        Opcode::Sub => a.wrapping_sub(b),
-        Opcode::Mul => a.wrapping_mul(b),
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Shl => a.wrapping_shl((b & 63) as u32),
-        Opcode::Shr => {
-            if signed {
-                ((a as i64).wrapping_shr((b & 63) as u32)) as u64
-            } else {
-                a.wrapping_shr((b & 63) as u32)
-            }
-        }
-        _ => unreachable!("fallible integer op decoded as IntDiv"),
-    };
-    canonicalize(raw, width, signed)
-}
-
-/// Runtime comparison over a pre-classified operand class, mirroring
-/// [`crate::interp::compare`].
-pub(crate) fn do_cmp(op: Opcode, class: CmpClass, a: u64, b: u64) -> bool {
-    use std::cmp::Ordering;
-    let ord = match class {
-        CmpClass::F32 | CmpClass::F64 => {
-            let is32 = matches!(class, CmpClass::F32);
-            let (x, y) = (from_bits(a, is32), from_bits(b, is32));
-            match x.partial_cmp(&y) {
-                Some(o) => o,
-                None => return matches!(op, Opcode::SetNe),
-            }
-        }
-        CmpClass::Sint => (a as i64).cmp(&(b as i64)),
-        CmpClass::Uint => a.cmp(&b),
-    };
-    match op {
-        Opcode::SetEq => ord == Ordering::Equal,
-        Opcode::SetNe => ord != Ordering::Equal,
-        Opcode::SetLt => ord == Ordering::Less,
-        Opcode::SetGt => ord == Ordering::Greater,
-        Opcode::SetLe => ord != Ordering::Greater,
-        Opcode::SetGe => ord != Ordering::Less,
-        _ => unreachable!("comparison opcode"),
-    }
-}
-
 /// Lowers one function body into the flat pre-decoded form.
 ///
 /// # Panics
@@ -662,21 +507,9 @@ fn decode_function(
                     }
                 }
                 _ if op.is_comparison() => {
-                    let ty = d.vty(ops[0]);
-                    let class = if tt.is_float(ty) {
-                        if matches!(tt.kind(ty), TypeKind::Float) {
-                            CmpClass::F32
-                        } else {
-                            CmpClass::F64
-                        }
-                    } else if tt.is_signed_integer(ty) {
-                        CmpClass::Sint
-                    } else {
-                        CmpClass::Uint
-                    };
                     PreInst::Cmp {
                         op,
-                        class,
+                        class: eval::cmp_class(tt, d.vty(ops[0])),
                         a: d.resolve(ops[0]),
                         b: d.resolve(ops[1]),
                         dst: dst.expect("cmp result"),
@@ -753,7 +586,7 @@ fn decode_function(
                 }
                 Opcode::Cast => PreInst::Cast {
                     src: d.resolve(ops[0]),
-                    kind: cast_kind(tt, d.vty(ops[0]), result_ty),
+                    kind: eval::cast_kind(tt, d.vty(ops[0]), result_ty),
                     dst: dst.expect("cast result"),
                 },
                 Opcode::Phi => unreachable!("phis skipped above"),
@@ -1322,13 +1155,14 @@ impl<'m> FastInterpreter<'m> {
                 PreInst::IntBin { op, a, b, dst, width, signed } => {
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    self.regs[base + *dst as usize] = int_arith(*op, x, y, *width, *signed);
+                    self.regs[base + *dst as usize] =
+                        eval::int_binary(*op, x, y, *width, *signed).unwrap_or(0);
                     pc += 1;
                 }
                 PreInst::IntDiv { op, a, b, dst, width, signed, exc } => {
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    let out = match int_binary(*op, x, y, *width, *signed) {
+                    let out = match eval::int_binary(*op, x, y, *width, *signed) {
                         Some(v) => v,
                         None => {
                             if *exc {
@@ -1341,23 +1175,16 @@ impl<'m> FastInterpreter<'m> {
                     pc += 1;
                 }
                 PreInst::FloatBin { op, a, b, dst, is32 } => {
-                    let x = from_bits(read(&self.regs, base, *a), *is32);
-                    let y = from_bits(read(&self.regs, base, *b), *is32);
-                    let r = match op {
-                        Opcode::Add => x + y,
-                        Opcode::Sub => x - y,
-                        Opcode::Mul => x * y,
-                        Opcode::Div => x / y,
-                        Opcode::Rem => x % y,
-                        _ => unreachable!("decode rejects other float ops"),
-                    };
-                    self.regs[base + *dst as usize] = to_bits(r, *is32);
+                    let x = read(&self.regs, base, *a);
+                    let y = read(&self.regs, base, *b);
+                    self.regs[base + *dst as usize] =
+                        eval::float_binary(*op, x, y, *is32).unwrap_or(0);
                     pc += 1;
                 }
                 PreInst::Cmp { op, class, a, b, dst } => {
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    self.regs[base + *dst as usize] = u64::from(do_cmp(*op, *class, x, y));
+                    self.regs[base + *dst as usize] = u64::from(eval::compare(*op, *class, x, y));
                     pc += 1;
                 }
                 PreInst::Ret { val } => {
@@ -1583,7 +1410,7 @@ impl<'m> FastInterpreter<'m> {
                 }
                 PreInst::Cast { src, kind, dst } => {
                     let v = read(&self.regs, base, *src);
-                    self.regs[base + *dst as usize] = apply_cast(*kind, v);
+                    self.regs[base + *dst as usize] = eval::cast(*kind, v);
                     pc += 1;
                 }
                 PreInst::AlwaysTrap { kind } => {
@@ -1900,33 +1727,34 @@ impl<'m> FastInterpreter<'m> {
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
                     self.regs[base + *dst as usize] =
-                        canonicalize(x.wrapping_add(y), *width, *signed);
+                        eval::int_binary(Opcode::Add, x, y, *width, *signed).unwrap_or(0);
                 }
                 TraceOp::Sub { a, b, dst, width, signed } => {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
                     self.regs[base + *dst as usize] =
-                        canonicalize(x.wrapping_sub(y), *width, *signed);
+                        eval::int_binary(Opcode::Sub, x, y, *width, *signed).unwrap_or(0);
                 }
                 TraceOp::Mul { a, b, dst, width, signed } => {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
                     self.regs[base + *dst as usize] =
-                        canonicalize(x.wrapping_mul(y), *width, *signed);
+                        eval::int_binary(Opcode::Mul, x, y, *width, *signed).unwrap_or(0);
                 }
                 TraceOp::IntBin { op, a, b, dst, width, signed } => {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    self.regs[base + *dst as usize] = int_arith(*op, x, y, *width, *signed);
+                    self.regs[base + *dst as usize] =
+                        eval::int_binary(*op, x, y, *width, *signed).unwrap_or(0);
                 }
                 TraceOp::IntDiv { op, a, b, dst, width, signed, exc, pc } => {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    let out = match int_binary(*op, x, y, *width, *signed) {
+                    let out = match eval::int_binary(*op, x, y, *width, *signed) {
                         Some(v) => v,
                         None => {
                             if *exc {
@@ -1939,28 +1767,21 @@ impl<'m> FastInterpreter<'m> {
                 }
                 TraceOp::FloatBin { op, a, b, dst, is32 } => {
                     step!(self);
-                    let x = from_bits(read(&self.regs, base, *a), *is32);
-                    let y = from_bits(read(&self.regs, base, *b), *is32);
-                    let r = match op {
-                        Opcode::Add => x + y,
-                        Opcode::Sub => x - y,
-                        Opcode::Mul => x * y,
-                        Opcode::Div => x / y,
-                        Opcode::Rem => x % y,
-                        _ => unreachable!("decode rejects other float ops"),
-                    };
-                    self.regs[base + *dst as usize] = to_bits(r, *is32);
+                    let x = read(&self.regs, base, *a);
+                    let y = read(&self.regs, base, *b);
+                    self.regs[base + *dst as usize] =
+                        eval::float_binary(*op, x, y, *is32).unwrap_or(0);
                 }
                 TraceOp::Cmp { op, class, a, b, dst } => {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    self.regs[base + *dst as usize] = u64::from(do_cmp(*op, *class, x, y));
+                    self.regs[base + *dst as usize] = u64::from(eval::compare(*op, *class, x, y));
                 }
                 TraceOp::Cast { src, kind, dst } => {
                     step!(self);
                     let v = read(&self.regs, base, *src);
-                    self.regs[base + *dst as usize] = apply_cast(*kind, v);
+                    self.regs[base + *dst as usize] = eval::cast(*kind, v);
                 }
                 TraceOp::Load { addr, dst, width, signed, exc, pc } => {
                     step!(self);
@@ -2050,7 +1871,7 @@ impl<'m> FastInterpreter<'m> {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    let taken = do_cmp(*op, *class, x, y);
+                    let taken = eval::compare(*op, *class, x, y);
                     self.regs[base + *dst as usize] = u64::from(taken);
                     step!(self);
                     if taken == *expect {
@@ -2069,11 +1890,12 @@ impl<'m> FastInterpreter<'m> {
                     step!(self);
                     let x = read(&self.regs, base, *ba);
                     let y = read(&self.regs, base, *bb);
-                    self.regs[base + *bdst as usize] = int_arith(*bop, x, y, *bwidth, *bsigned);
+                    self.regs[base + *bdst as usize] =
+                        eval::int_binary(*bop, x, y, *bwidth, *bsigned).unwrap_or(0);
                     step!(self);
                     let x = read(&self.regs, base, *ca);
                     let y = read(&self.regs, base, *cb);
-                    let taken = do_cmp(*cop, *class, x, y);
+                    let taken = eval::compare(*cop, *class, x, y);
                     self.regs[base + *cdst as usize] = u64::from(taken);
                     step!(self);
                     if taken == *expect {
@@ -2096,7 +1918,8 @@ impl<'m> FastInterpreter<'m> {
                     step!(self);
                     let o = read(&self.regs, base, *other);
                     let (x, y) = if *loaded_lhs { (v, o) } else { (o, v) };
-                    self.regs[base + *dst as usize] = int_arith(*op, x, y, *width, *signed);
+                    self.regs[base + *dst as usize] =
+                        eval::int_binary(*op, x, y, *width, *signed).unwrap_or(0);
                 }
                 TraceOp::BinStore {
                     op, a, b, tdst, width, signed, addr, swidth, sexc, spc,
@@ -2105,7 +1928,7 @@ impl<'m> FastInterpreter<'m> {
                     step!(self);
                     let x = read(&self.regs, base, *a);
                     let y = read(&self.regs, base, *b);
-                    let v = int_arith(*op, x, y, *width, *signed);
+                    let v = eval::int_binary(*op, x, y, *width, *signed).unwrap_or(0);
                     self.regs[base + *tdst as usize] = v;
                     step!(self);
                     let ad = read(&self.regs, base, *addr);
@@ -2194,117 +2017,11 @@ impl<'m> FastInterpreter<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{cast_value, compare};
 
     fn parse(src: &str) -> Module {
         let m = llva_core::parser::parse_module(src).expect("parses");
         llva_core::verifier::verify_module(&m).expect("verifies");
         m
-    }
-
-    #[test]
-    fn cast_kind_matches_cast_value_on_every_scalar_pair() {
-        let mut tt = TypeTable::new();
-        let scalars = [
-            tt.bool(),
-            tt.ubyte(),
-            tt.sbyte(),
-            tt.ushort(),
-            tt.short(),
-            tt.uint(),
-            tt.int(),
-            tt.ulong(),
-            tt.long(),
-            tt.float(),
-            tt.double(),
-        ];
-        let long = tt.long();
-        let ptr = tt.pointer_to(long);
-        let all: Vec<TypeId> = scalars.iter().copied().chain([ptr]).collect();
-        let samples = [
-            0u64,
-            1,
-            2,
-            0x7F,
-            0x80,
-            0xFF,
-            0xFFFF_FFFF,
-            u64::MAX,
-            (-5i64) as u64,
-            f32::consts_sample_bits(),
-            (2.5f64).to_bits(),
-            (-3.75f64).to_bits(),
-            f64::INFINITY.to_bits(),
-            f64::NAN.to_bits(),
-        ];
-        for &from in &all {
-            for &to in &all {
-                let kind = cast_kind(&tt, from, to);
-                for &v in &samples {
-                    assert_eq!(
-                        apply_cast(kind, v),
-                        cast_value(&tt, from, to, v),
-                        "cast {} -> {} of {v:#x} (kind {kind:?})",
-                        tt.display(from),
-                        tt.display(to),
-                    );
-                }
-            }
-        }
-    }
-
-    trait SampleBits {
-        fn consts_sample_bits() -> u64;
-    }
-
-    impl SampleBits for f32 {
-        fn consts_sample_bits() -> u64 {
-            u64::from((1.5f32).to_bits())
-        }
-    }
-
-    #[test]
-    fn cmp_class_matches_structural_compare() {
-        let mut tt = TypeTable::new();
-        let cases = [
-            (tt.int(), CmpClass::Sint),
-            (tt.uint(), CmpClass::Uint),
-            (tt.bool(), CmpClass::Uint),
-            (tt.float(), CmpClass::F32),
-            (tt.double(), CmpClass::F64),
-        ];
-        let ops = [
-            Opcode::SetEq,
-            Opcode::SetNe,
-            Opcode::SetLt,
-            Opcode::SetGt,
-            Opcode::SetLe,
-            Opcode::SetGe,
-        ];
-        let samples = [
-            0u64,
-            1,
-            (-1i64) as u64,
-            42,
-            (1.5f64).to_bits(),
-            u64::from((1.5f32).to_bits()),
-            f64::NAN.to_bits(),
-            u64::from(f32::NAN.to_bits()),
-        ];
-        for &(ty, class) in &cases {
-            for &op in &ops {
-                for &a in &samples {
-                    for &b in &samples {
-                        assert_eq!(
-                            do_cmp(op, class, a, b),
-                            compare(op, a, b, &tt, ty),
-                            "{op} on {} with {a:#x}, {b:#x}",
-                            tt.display(ty),
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

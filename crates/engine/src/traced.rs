@@ -33,13 +33,10 @@
 //! `Rc` and finish under the old code, exactly like the pre-decode
 //! cache itself.
 
-use crate::interp::int_binary;
-use crate::predecode::{
-    apply_cast, do_cmp, int_arith, CastKind, CmpClass, GepStep, PreFunction, PreInst, PreModule,
-    Src,
-};
+use crate::predecode::{GepStep, PreFunction, PreInst, PreModule, Src};
 use crate::profile::{self, ProfileMap};
 use crate::trace::form_traces;
+use llva_core::eval::{self, CastKind, CmpClass};
 use llva_core::instruction::Opcode;
 use llva_core::module::FuncId;
 use llva_machine::Width;
@@ -859,7 +856,7 @@ impl SegCompiler<'_> {
             PreInst::IntBin { op, a, b, dst, width, signed } => {
                 let (a, b) = (self.res(*a), self.res(*b));
                 if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
-                    self.set_const(*dst, int_arith(*op, x, y, *width, *signed));
+                    self.set_const(*dst, eval::int_binary(*op, x, y, *width, *signed).unwrap_or(0));
                     return true;
                 }
                 self.kill(*dst);
@@ -912,7 +909,7 @@ impl SegCompiler<'_> {
             PreInst::IntDiv { op, a, b, dst, width, signed, exc } => {
                 let (a, b) = (self.res(*a), self.res(*b));
                 if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
-                    match int_binary(*op, x, y, *width, *signed) {
+                    match eval::int_binary(*op, x, y, *width, *signed) {
                         Some(v) => {
                             self.set_const(*dst, v);
                             return true;
@@ -946,7 +943,7 @@ impl SegCompiler<'_> {
             PreInst::Cmp { op, class, a, b, dst } => {
                 let (a, b) = (self.res(*a), self.res(*b));
                 if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
-                    self.set_const(*dst, u64::from(do_cmp(*op, *class, x, y)));
+                    self.set_const(*dst, u64::from(eval::compare(*op, *class, x, y)));
                     return true;
                 }
                 self.kill(*dst);
@@ -955,7 +952,7 @@ impl SegCompiler<'_> {
             PreInst::Cast { src, kind, dst } => {
                 let src = self.res(*src);
                 if let Src::Imm(v) = src {
-                    self.set_const(*dst, apply_cast(*kind, v));
+                    self.set_const(*dst, eval::cast(*kind, v));
                     return true;
                 }
                 self.kill(*dst);
