@@ -20,6 +20,7 @@
 
 use crate::common::{function_value, ExecStats, Exit, Sym, Trap, TrapKind, Width, FUNC_TAG};
 use crate::memory::Memory;
+use llva_core::eval::{self, CmpClass};
 use llva_core::intrinsics::Intrinsic;
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -60,9 +61,10 @@ impl Flags {
         }
     }
 
-    /// The codes of a float compare of `a` with `b`.
-    pub fn float(a: f64, b: f64) -> Flags {
-        let order = a.partial_cmp(&b);
+    /// The codes of a float compare of the register bits `a` with `b`.
+    pub fn float(a: u64, b: u64, is32: bool) -> Flags {
+        let class = if is32 { CmpClass::F32 } else { CmpClass::F64 };
+        let order = eval::order(class, a, b);
         Flags {
             signed: order,
             unsigned: order,

@@ -21,8 +21,10 @@
 
 use crate::codec::{plain, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
-use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::common::{Sym, TrapKind, Width};
 use crate::core::{function_index, Cpu, Flow, Isa, Machine, Program, Regs, FPRS, GPRS};
+use llva_core::eval::{self, CastKind, CmpClass};
+use llva_core::instruction::Opcode;
 use llva_core::intrinsics::Intrinsic;
 
 /// An integer register number (0–31; register 0 always reads zero).
@@ -567,15 +569,15 @@ impl Isa for RiscvInst {
                 fs2,
                 is32,
             } => {
-                let a = float(regs.fpr[fs1.0 as usize], *is32);
-                let b = float(regs.fpr[fs2.0 as usize], *is32);
-                // all comparisons are false on unordered operands
-                let v = match op {
-                    FSetOp::Feq => a == b,
-                    FSetOp::Flt => a < b,
-                    FSetOp::Fle => a <= b,
+                let (a, b) = (regs.fpr[fs1.0 as usize], regs.fpr[fs2.0 as usize]);
+                let class = if *is32 { CmpClass::F32 } else { CmpClass::F64 };
+                // all three are false on unordered operands
+                let op = match op {
+                    FSetOp::Feq => Opcode::SetEq,
+                    FSetOp::Flt => Opcode::SetLt,
+                    FSetOp::Fle => Opcode::SetLe,
                 };
-                set(regs, *rd, u64::from(v));
+                set(regs, *rd, u64::from(eval::compare(op, class, a, b)));
                 cycles = 2;
             }
             I::CvtIF {
@@ -584,7 +586,8 @@ impl Isa for RiscvInst {
                 to32,
                 signed,
             } => {
-                regs.fpr[fd.0 as usize] = int_to_float(regs.gpr[rs.0 as usize], *signed, *to32);
+                let kind = CastKind::IntToFloat { src_signed: *signed, dst32: *to32 };
+                regs.fpr[fd.0 as usize] = eval::cast(kind, regs.gpr[rs.0 as usize]);
                 cycles = 3;
             }
             I::CvtFI {
@@ -593,12 +596,14 @@ impl Isa for RiscvInst {
                 from32,
                 signed,
             } => {
-                let v = float_to_int(regs.fpr[fs.0 as usize], *from32, *signed);
+                let kind = CastKind::FloatToInt { src32: *from32, width: 64, signed: *signed };
+                let v = eval::cast(kind, regs.fpr[fs.0 as usize]);
                 set(regs, *rd, v);
                 cycles = 3;
             }
             I::CvtFF { fd, fs, to32 } => {
-                regs.fpr[fd.0 as usize] = float_to_float(regs.fpr[fs.0 as usize], *to32);
+                let kind = CastKind::FloatToFloat { src32: !*to32, dst32: *to32 };
+                regs.fpr[fd.0 as usize] = eval::cast(kind, regs.fpr[fs.0 as usize]);
                 cycles = 2;
             }
             I::MovGF(rd, fs) => {

@@ -11,8 +11,9 @@
 
 use crate::codec::{plain, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
-use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::common::{Sym, TrapKind, Width};
 use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs, FPRS, GPRS};
+use llva_core::eval::{self, CastKind};
 use llva_core::intrinsics::Intrinsic;
 
 /// An integer register number (0–31; register 0 always reads zero).
@@ -540,7 +541,7 @@ impl Isa for SparcInst {
             }
             I::FCmp { fs1, fs2, is32 } => {
                 let (a, b) = (regs.fpr[fs1.0 as usize], regs.fpr[fs2.0 as usize]);
-                *flags = Flags::float(float(a, *is32), float(b, *is32));
+                *flags = Flags::float(a, b, *is32);
                 cycles = 2;
             }
             I::CvtIF {
@@ -549,7 +550,8 @@ impl Isa for SparcInst {
                 to32,
                 signed,
             } => {
-                regs.fpr[fd.0 as usize] = int_to_float(regs.gpr[rs.0 as usize], *signed, *to32);
+                let kind = CastKind::IntToFloat { src_signed: *signed, dst32: *to32 };
+                regs.fpr[fd.0 as usize] = eval::cast(kind, regs.gpr[rs.0 as usize]);
                 cycles = 3;
             }
             I::CvtFI {
@@ -558,12 +560,14 @@ impl Isa for SparcInst {
                 from32,
                 signed,
             } => {
-                let v = float_to_int(regs.fpr[fs.0 as usize], *from32, *signed);
+                let kind = CastKind::FloatToInt { src32: *from32, width: 64, signed: *signed };
+                let v = eval::cast(kind, regs.fpr[fs.0 as usize]);
                 set(regs, *rd, v);
                 cycles = 3;
             }
             I::CvtFF { fd, fs, to32 } => {
-                regs.fpr[fd.0 as usize] = float_to_float(regs.fpr[fs.0 as usize], *to32);
+                let kind = CastKind::FloatToFloat { src32: !*to32, dst32: *to32 };
+                regs.fpr[fd.0 as usize] = eval::cast(kind, regs.fpr[fs.0 as usize]);
                 cycles = 2;
             }
             I::MovGF(rd, fs) => {

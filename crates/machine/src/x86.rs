@@ -14,9 +14,10 @@
 
 use crate::codec::{plain, record, register, tagged};
 pub use crate::common::{function_value, FpOp, FUNC_TAG};
-use crate::common::{float, float_to_float, float_to_int, int_to_float, Sym, TrapKind, Width};
+use crate::common::{Sym, TrapKind, Width};
 use crate::core::{function_index, Cpu, Flags, Flow, Isa, Machine, Program, Regs};
 use crate::memory::Memory;
+use llva_core::eval::{self, CastKind};
 use llva_core::intrinsics::Intrinsic;
 
 /// The eight general-purpose registers (64-bit in this simulation),
@@ -639,7 +640,7 @@ impl Isa for X86Inst {
             }
             I::FCmp(a, b, is32) => {
                 let (a, b) = (regs.fpr[a.0 as usize], regs.fpr[b.0 as usize]);
-                *flags = Flags::float(float(a, *is32), float(b, *is32));
+                *flags = Flags::float(a, b, *is32);
                 cycles = 2;
             }
             I::CvtIF {
@@ -648,7 +649,8 @@ impl Isa for X86Inst {
                 to32,
                 signed,
             } => {
-                regs.fpr[dst.0 as usize] = int_to_float(regs.gpr[*src as usize], *signed, *to32);
+                let kind = CastKind::IntToFloat { src_signed: *signed, dst32: *to32 };
+                regs.fpr[dst.0 as usize] = eval::cast(kind, regs.gpr[*src as usize]);
                 cycles = 3;
             }
             I::CvtFI {
@@ -657,22 +659,24 @@ impl Isa for X86Inst {
                 from32,
                 signed,
             } => {
-                regs.gpr[*dst as usize] = float_to_int(regs.fpr[src.0 as usize], *from32, *signed);
+                let kind = CastKind::FloatToInt { src32: *from32, width: 64, signed: *signed };
+                regs.gpr[*dst as usize] = eval::cast(kind, regs.fpr[src.0 as usize]);
                 cycles = 3;
             }
             I::CvtFF { dst, src, to32 } => {
-                regs.fpr[dst.0 as usize] = float_to_float(regs.fpr[src.0 as usize], *to32);
+                let kind = CastKind::FloatToFloat { src32: !*to32, dst32: *to32 };
+                regs.fpr[dst.0 as usize] = eval::cast(kind, regs.fpr[src.0 as usize]);
                 cycles = 2;
             }
             I::MovGF(d, s) => regs.gpr[*d as usize] = regs.fpr[s.0 as usize],
             I::MovFG(d, s) => regs.fpr[d.0 as usize] = regs.gpr[*s as usize],
             I::SignExtend(r, w) => {
                 let r = &mut regs.gpr[*r as usize];
-                *r = llva_core::eval::sign_extend(*r, w.bytes() as u32 * 8) as u64;
+                *r = eval::sign_extend(*r, w.bytes() as u32 * 8) as u64;
             }
             I::ZeroExtend(r, w) => {
                 let r = &mut regs.gpr[*r as usize];
-                *r = llva_core::eval::truncate(*r, w.bytes() as u32 * 8);
+                *r = eval::truncate(*r, w.bytes() as u32 * 8);
             }
         }
         Ok(Flow::Next(cycles))
