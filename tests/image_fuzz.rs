@@ -154,6 +154,28 @@ fn seeded_mutations_never_panic_and_survivors_match_oracle() {
     }
 }
 
+/// Two flips of the same bit eight bytes apart — the same bit of two
+/// adjacent words wherever the word grid falls — are caught at every
+/// offset: the parse or some section's checksum fails. A word hash that
+/// only multiplies never moves a difference in a word's top bit down, so
+/// a second top-bit flip in a later word cancels the first.
+#[test]
+fn paired_top_bit_flips_are_caught_at_every_offset() {
+    let intact = sample_image_bytes();
+    for p in 0..intact.len() - 8 {
+        let mut corrupt = intact.clone();
+        corrupt[p] ^= 0x80;
+        corrupt[p + 8] ^= 0x80;
+        if let Ok(image) = LlvaImage::parse(corrupt) {
+            assert!(
+                image.sections().into_iter().any(|k| !image.section_ok(k)),
+                "flips at {p} and {} passed every checksum",
+                p + 8
+            );
+        }
+    }
+}
+
 /// Bit flips confined to one section corrupt *only* that section: the
 /// others stay loadable and `repair_image` rebuilds exactly the
 /// damaged one (fault isolation, the per-section analogue of the
