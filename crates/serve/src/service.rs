@@ -1894,18 +1894,17 @@ fn build_runtime(
     // Warm-load probe: an earlier process (or another tenant of this
     // shared cache) may have published a persistent module image under
     // IMAGE_ENTRY. Fast path: when the storage exposes the entry as a
-    // file (DirStorage), mmap it zero-copy — the blob leads with an
-    // 8-byte LE timestamp (== the module stamp), the image follows.
-    // Validate the stamp from the prefix AND the image's own stamp
-    // against this module before trusting it; any mismatch or error
-    // degrades to the owned-read path, then to the cold path, never to
-    // an error.
+    // file (DirStorage), mmap it zero-copy from the offset the storage
+    // reports. Validate the entry's timestamp (== the module stamp) AND
+    // the image's own stamp against this module before trusting it; any
+    // mismatch or error degrades to the owned-read path, then to the
+    // cold path, never to an error.
     let mut image: Option<Arc<LlvaImage>> = None;
     let mut image_mapped = false;
     #[cfg(unix)]
-    if let Some(path) = storage.file_path(&cache, IMAGE_ENTRY) {
-        if blob_timestamp(&path) == Some(module_stamp) {
-            if let Ok(img) = llva_engine::image::map_image_file(&path, 8) {
+    if let Some((path, offset)) = storage.file_path(&cache, IMAGE_ENTRY) {
+        if storage.timestamp(&cache, IMAGE_ENTRY) == Some(module_stamp) {
+            if let Ok(img) = llva_engine::image::map_image_file(&path, offset) {
                 if img.stamp() == module_stamp {
                     image = Some(Arc::new(img));
                     image_mapped = true;
@@ -1990,18 +1989,6 @@ fn build_runtime(
         image_mapped,
     };
     Ok((runtime, reply))
-}
-
-/// Reads the 8-byte little-endian timestamp prefix of a `DirStorage`
-/// blob without reading the payload (the whole point of the mmap fast
-/// path is not to copy it).
-#[cfg(unix)]
-fn blob_timestamp(path: &std::path::Path) -> Option<u64> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path).ok()?;
-    let mut prefix = [0u8; 8];
-    file.read_exact(&mut prefix).ok()?;
-    Some(u64::from_le_bytes(prefix))
 }
 
 fn handle_load(
