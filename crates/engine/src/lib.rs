@@ -9,7 +9,6 @@
 //! [`supervisor`] (graceful degradation across translated code, the
 //! pre-decoded interpreter, and the structural interpreter).
 
-pub mod codec;
 pub mod env;
 pub mod image;
 pub mod interp;

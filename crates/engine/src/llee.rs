@@ -38,7 +38,6 @@
 //! A whole-module fingerprint ([`stamp`]) is still exported for
 //! callers that want coarse validation.
 
-use crate::codec;
 use crate::env::{Env, StackView};
 use crate::interp::trap_number;
 use crate::storage::Storage;
@@ -47,7 +46,7 @@ use llva_backend::{
     compile_riscv_with, compile_sparc_with, compile_x86_with, PeepholeConfig,
 };
 use llva_core::module::{FuncId, Module};
-use llva_machine::codec::{decode, encode, Field};
+use llva_machine::codec::{decode, encode, hash, Field, Format, HASH_SEED};
 use llva_machine::common::{ExecStats, Exit, Trap};
 use llva_machine::core::{Isa, Machine, Program};
 use llva_machine::memory::{Memory, GLOBAL_BASE};
@@ -209,6 +208,13 @@ pub struct FuncCacheStats {
     /// Lookups that found a corrupt entry (frame or payload invalid).
     pub corrupt: u32,
 }
+
+/// The frame around every cached translation ("LLva Cache Entry"):
+/// storage is OS-provided and untrusted, so each entry is checked —
+/// magic, version, length, and a checksum seeded by its storage key,
+/// which also catches an entry copied under the wrong key — before a
+/// byte of it reaches the instruction decoder.
+pub const CACHE_ENTRY: Format = Format { magic: *b"LLCE", version: 2 };
 
 /// Bounded retry budget for storage reads and validated write-backs.
 /// Attempt-count based, never wall-clock, so fault-injection runs stay
@@ -708,9 +714,8 @@ impl ExecutionManager {
     /// Probes the offline cache for function `f` and installs the
     /// cached translation on a validated hit. Every read is validated
     /// twice before any byte reaches the program: the self-describing
-    /// frame (magic, version, length, key+payload checksum — see
-    /// [`codec::unframe_entry`]) and then the instruction decode
-    /// itself.
+    /// frame (magic, version, length, key-seeded checksum — see
+    /// [`CACHE_ENTRY`]) and then the instruction decode itself.
     ///
     /// A failed attempt is retried up to [`STORAGE_ATTEMPTS`] times
     /// (bounded, attempt-count based — no wall clock, so probes are
@@ -742,7 +747,8 @@ impl ExecutionManager {
                 continue; // stale — or a transiently garbled timestamp
             }
             saw_fresh = true;
-            let installed = codec::unframe_entry(&key, &blob)
+            let installed = CACHE_ENTRY
+                .unframe(key.as_bytes(), &blob)
                 .is_ok_and(|payload| self.engine.install_blob(f, payload));
             if installed {
                 if attempt > 0 {
@@ -845,7 +851,7 @@ impl ExecutionManager {
         // verified by read-back (with bounded retry for transient faults)
         let key = self.cache_key(f);
         let ts = self.func_hashes[f as usize];
-        let framed = codec::frame_entry(&key, &blob);
+        let framed = CACHE_ENTRY.frame(key.as_bytes(), &blob);
         let written = self.storage.is_some() && self.write_validated(&key, &framed, ts);
         if probe == CacheProbe::Corrupt {
             self.stats.cache_retried += 1;
@@ -954,7 +960,7 @@ impl ExecutionManager {
             .into_iter()
             .map(|(f, blob)| {
                 let key = self.cache_key(f);
-                let framed = codec::frame_entry(&key, &blob);
+                let framed = CACHE_ENTRY.frame(key.as_bytes(), &blob);
                 (key, framed, self.func_hashes[f as usize])
             })
             .collect();
@@ -1215,13 +1221,11 @@ pub fn load_image_end(module: &Module, isa: TargetIsa) -> u64 {
     llva_backend::common::place_globals(module, &isa.target_config()).1
 }
 
-use crate::codec::{fnv1a, FNV_OFFSET};
-
 /// A stable fingerprint of a module's virtual object code, used as a
 /// coarse cache timestamp ("check a timestamp on an LLVA program",
 /// §4.1). LLEE's own cache uses the finer-grained [`function_stamps`].
 pub fn stamp(module: &Module) -> u64 {
-    fnv1a(&llva_core::bytecode::encode_module(module), FNV_OFFSET)
+    hash(&llva_core::bytecode::encode_module(module), HASH_SEED)
 }
 
 /// Per-function content hashes, indexed by function id: each is the
@@ -1232,10 +1236,10 @@ pub fn stamp(module: &Module) -> u64 {
 /// body changes exactly one stamp; editing shared structure changes
 /// them all.
 pub fn function_stamps(module: &Module) -> Vec<u64> {
-    let env_hash = fnv1a(&llva_core::bytecode::encode_module_env(module), FNV_OFFSET);
+    let env_hash = hash(&llva_core::bytecode::encode_module_env(module), HASH_SEED);
     module
         .functions()
-        .map(|(fid, _)| fnv1a(&llva_core::bytecode::encode_function(module, fid), env_hash))
+        .map(|(fid, _)| hash(&llva_core::bytecode::encode_function(module, fid), env_hash))
         .collect()
 }
 

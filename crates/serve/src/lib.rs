@@ -15,7 +15,7 @@
 //!   bounded in-flight queues, a sharded content-addressed translation
 //!   cache, per-call deadlines, and bounded retry-with-backoff;
 //! * [`metrics`] — the `GET /metrics`-style Prometheus text surface;
-//! * [`proto`] — the length-framed request/response wire codec;
+//! * [`proto`] — the framed request/response wire codec;
 //! * [`server`] — the localhost TCP listener (framed protocol with an
 //!   HTTP `GET /metrics` sniff on the same port).
 //!

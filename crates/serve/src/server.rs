@@ -2,12 +2,13 @@
 //!
 //! One listener serves two protocols on the same port:
 //!
-//! * the length-framed binary protocol ([`crate::proto`]) for
+//! * the framed binary protocol ([`crate::proto`]) for
 //!   module-load and call traffic, and
-//! * plain HTTP `GET /metrics` — the first bytes of a connection are
-//!   peeked, and anything starting with `GET ` is answered as a
-//!   one-shot HTTP scrape (`curl http://addr/metrics` works against
-//!   the same port the binary clients use).
+//! * plain HTTP `GET /metrics` — the first four bytes of a connection
+//!   are peeked: `GET ` is answered as a one-shot HTTP scrape (`curl
+//!   http://addr/metrics` works against the same port the binary
+//!   clients use), the wire magic goes to the framed protocol, and
+//!   anything else is closed unanswered.
 //!
 //! Connections are thread-per-connection: the real concurrency story
 //! lives in [`crate::service`] (per-tenant executors and bounded
@@ -18,7 +19,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::thread::JoinHandle;
 
-use crate::proto::{read_frame, write_frame, Request, Response};
+use crate::proto::{read_frame, write_frame, Request, Response, WIRE};
 use crate::quota::{ServeError, TenantQuota};
 use crate::service::{CallResult, ExecService};
 use llva_engine::supervisor::TierOutcome;
@@ -114,15 +115,20 @@ fn serve_connection(
     stream: TcpStream,
     default_quota: TenantQuota,
 ) -> io::Result<()> {
-    // Protocol sniff: HTTP scrapes start with "GET "; the framed
-    // protocol's first frame is at most MAX_FRAME long, so its 4th
-    // byte (high length byte) is 0x00/0x01 — never ASCII space.
+    // Protocol sniff: an HTTP scrape starts with "GET ", a framed
+    // request with the wire magic, and anything else is refused unread.
+    // A peek shorter than four bytes goes to the framed reader, which
+    // checks the magic itself.
     let mut head = [0u8; 4];
     let peeked = stream.peek(&mut head)?;
-    if &head[..peeked] == b"GET "[..peeked].as_ref() && peeked == 4 {
-        return serve_http(service, stream);
+    match &head[..peeked] {
+        b"GET " => serve_http(service, stream),
+        h if h.len() < 4 || h == WIRE.magic => serve_framed(service, stream, default_quota),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "neither a framed request nor an HTTP GET",
+        )),
     }
-    serve_framed(service, stream, default_quota)
 }
 
 fn serve_http(service: &ExecService, stream: TcpStream) -> io::Result<()> {

@@ -14,7 +14,7 @@
 use llva::core::bytecode::{decode_module, encode_module};
 use llva::core::layout::TargetConfig;
 use llva::core::module::{FuncId, Module};
-use llva::engine::codec;
+use llva::engine::llee::CACHE_ENTRY;
 use llva::machine::codec::{decode, encode, Field};
 use llva::machine::riscv::RiscvInst;
 use llva::machine::sparc::SparcInst;
@@ -173,7 +173,7 @@ fn native_codec_decode_never_panics() {
         let _ = decode::<Vec<X86Inst>>(&buf);
         let _ = decode::<Vec<SparcInst>>(&buf);
         let _ = decode::<Vec<RiscvInst>>(&buf);
-        let _ = codec::unframe_entry("some.key", &buf);
+        let _ = CACHE_ENTRY.unframe(b"some.key", &buf);
     }
 }
 

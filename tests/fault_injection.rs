@@ -11,8 +11,7 @@
 //! Seeds are deterministic; the CI `fault-injection` job re-runs the
 //! chaos tests under several `LLVA_FAULT_SEED` values.
 
-use llva::engine::codec;
-use llva::engine::llee::{EngineError, ExecutionManager, TargetIsa};
+use llva::engine::llee::{EngineError, ExecutionManager, TargetIsa, CACHE_ENTRY};
 use llva::engine::storage::{
     DirStorage, FaultPlan, FaultyStorage, MemStorage, SharedStorage, Storage, QUARANTINE_SUFFIX,
 };
@@ -99,7 +98,7 @@ fn cache_recovery_end_to_end() {
 
     // the rewritten entry validates, so a third run is all hits
     let (blob, _) = storage.with(|s| s.read("fib", &fib_key)).expect("rewritten");
-    assert!(codec::unframe_entry(&fib_key, &blob).is_ok());
+    assert!(CACHE_ENTRY.unframe(fib_key.as_bytes(), &blob).is_ok());
     let mut mgr = ExecutionManager::new(module(), TargetIsa::X86);
     mgr.set_storage(Box::new(storage), "fib");
     assert_eq!(mgr.run("main", &[]).expect("runs").value, reference);
