@@ -101,16 +101,12 @@ pub struct SeedOutcome {
     pub minimized: Option<MinimizedRepro>,
 }
 
-/// Generates the module for `seed`, runs the oracle, and (on
-/// divergence) shrinks to a minimized reproducer.
-pub fn run_seed(seed: u64, cfg: &GenConfig, oracle: &Oracle) -> SeedOutcome {
-    let tc = gen::generate(seed, cfg);
+/// Runs the oracle on `tc`, the module generated for `seed`, and (on
+/// divergence, when `shrink` is set) shrinks it to a minimized
+/// reproducer.
+pub fn run_seed(seed: u64, tc: &TestCase, oracle: &Oracle, shrink: bool) -> SeedOutcome {
     let (results, divergences) = oracle.check(&tc.module, &tc.entry, &tc.args);
-    let minimized = if divergences.is_empty() {
-        None
-    } else {
-        Some(minimize(seed, &tc, oracle))
-    };
+    let minimized = (shrink && !divergences.is_empty()).then(|| minimize(seed, tc, oracle));
     SeedOutcome {
         seed,
         results,
@@ -159,7 +155,8 @@ mod tests {
 
     #[test]
     fn healthy_seed_produces_no_repro() {
-        let out = run_seed(4, &GenConfig::default(), &Oracle::new());
+        let tc = generate(4, &GenConfig::default());
+        let out = run_seed(4, &tc, &Oracle::new(), true);
         assert!(out.divergences.is_empty(), "{:?}", out.divergences);
         assert!(out.minimized.is_none());
     }
