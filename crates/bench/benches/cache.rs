@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use llva_core::layout::TargetConfig;
 use llva_engine::llee::{ExecutionManager, TargetIsa};
-use llva_engine::storage::{MemStorage, SharedStorage, Storage};
+use llva_engine::storage::{MemStorage, Storage, SyncStorage};
 use llva_machine::x86::X86Inst;
 
 fn bench_startup(c: &mut Criterion) {
@@ -30,7 +30,7 @@ fn bench_startup(c: &mut Criterion) {
     });
 
     // warm: a pre-populated offline cache (LLVA model)
-    let storage = SharedStorage::new(MemStorage::new());
+    let storage = SyncStorage::new(MemStorage::new());
     {
         let m = w.compile(TargetConfig::default());
         let mut mgr = ExecutionManager::new(m, TargetIsa::X86);

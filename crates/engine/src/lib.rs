@@ -32,7 +32,7 @@ pub use predecode::{FastInterpreter, PreModule};
 pub use llee::{EngineError, ExecutionManager, RunOutcome, TargetIsa, TranslationStats};
 pub use storage::{
     shard_hash, DirStorage, FaultLog, FaultPlan, FaultyStorage, MemStorage, ShardedStorage,
-    SharedStorage, Storage, SyncStorage,
+    Storage, SyncStorage,
 };
 pub use traced::{TraceConfig, TraceEngine, TraceStats};
 pub use supervisor::{

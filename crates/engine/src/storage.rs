@@ -10,10 +10,13 @@
 //!
 //! An OS implements [`Storage`] to enable offline translation and
 //! caching; it is "strictly optional and the system will operate
-//! correctly in their absence". Two implementations are provided:
-//! an in-memory one (tests / OS-less operation, like DAISY/Crusoe's
-//! memory-only translation cache) and a directory-backed one (the
-//! user-level POSIX LLEE of §4.1).
+//! correctly in their absence". Two backends are provided: an in-memory
+//! one ([`MemStorage`]: tests and OS-less operation, like
+//! DAISY/Crusoe's memory-only translation cache) and a directory-backed
+//! one ([`DirStorage`]: the user-level POSIX LLEE of §4.1). Wrappers
+//! share one backend between handles ([`SyncStorage`]), spread it over
+//! shards ([`ShardedStorage`]) and inject faults into it
+//! ([`FaultyStorage`]).
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -282,68 +285,11 @@ impl Storage for DirStorage {
     }
 }
 
-/// A cloneable handle sharing one underlying storage — lets a test or
-/// benchmark keep inspecting the cache that an execution manager owns a
-/// boxed handle to.
-#[derive(Debug, Default)]
-pub struct SharedStorage<S>(std::rc::Rc<std::cell::RefCell<S>>);
-
-// manual impl: cloning the handle must not require S: Clone
-impl<S> Clone for SharedStorage<S> {
-    fn clone(&self) -> SharedStorage<S> {
-        SharedStorage(std::rc::Rc::clone(&self.0))
-    }
-}
-
-impl<S: Storage> SharedStorage<S> {
-    /// Wraps `storage` in a shared handle.
-    pub fn new(storage: S) -> SharedStorage<S> {
-        SharedStorage(std::rc::Rc::new(std::cell::RefCell::new(storage)))
-    }
-
-    /// Runs `f` with direct access to the wrapped storage (e.g. to
-    /// drive the fault hooks of a [`FaultyStorage`] it shares with an
-    /// execution manager).
-    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-}
-
-impl<S: Storage> Storage for SharedStorage<S> {
-    fn create_cache(&mut self, cache: &str) {
-        self.0.borrow_mut().create_cache(cache);
-    }
-    fn delete_cache(&mut self, cache: &str) {
-        self.0.borrow_mut().delete_cache(cache);
-    }
-    fn cache_size(&self, cache: &str) -> Option<u64> {
-        self.0.borrow().cache_size(cache)
-    }
-    fn write(&mut self, cache: &str, name: &str, bytes: &[u8], timestamp: u64) {
-        self.0.borrow_mut().write(cache, name, bytes, timestamp);
-    }
-    fn read(&self, cache: &str, name: &str) -> Option<(Vec<u8>, u64)> {
-        self.0.borrow().read(cache, name)
-    }
-    fn timestamp(&self, cache: &str, name: &str) -> Option<u64> {
-        self.0.borrow().timestamp(cache, name)
-    }
-    fn remove(&mut self, cache: &str, name: &str) {
-        self.0.borrow_mut().remove(cache, name);
-    }
-    fn quarantine(&mut self, cache: &str, name: &str) {
-        self.0.borrow_mut().quarantine(cache, name);
-    }
-    fn file_path(&self, cache: &str, name: &str) -> Option<(PathBuf, usize)> {
-        self.0.borrow().file_path(cache, name)
-    }
-}
-
-/// A `Send + Sync` cloneable handle sharing one underlying storage —
-/// the thread-safe sibling of [`SharedStorage`] for use with the
-/// parallel offline translator ([`crate::llee::ExecutionManager::translate_all_parallel`])
-/// or for sharing one cache across execution managers on different
-/// threads. All operations take the mutex for their duration; the
+/// A `Send + Sync` cloneable handle sharing one underlying storage:
+/// one cache shared by execution managers on different threads, or a
+/// test or benchmark inspecting (and driving the fault hooks of) the
+/// storage a manager owns a boxed handle to. All operations take the
+/// mutex for their duration; the
 /// storage contract says failures must never break execution, so a
 /// poisoned lock is recovered rather than propagated.
 #[derive(Debug, Default)]
@@ -1010,7 +956,7 @@ mod tests {
 
     #[test]
     fn shared_and_faulty_storage_contracts() {
-        let mut shared = SharedStorage::new(MemStorage::new());
+        let mut shared = SyncStorage::new(MemStorage::new());
         exercise(&mut shared);
         let mut faulty = FaultyStorage::new(MemStorage::new(), FaultPlan::none(7));
         exercise(&mut faulty);

@@ -592,8 +592,9 @@ impl Supervisor {
     }
 
     /// Attaches a persistent module image ([`crate::image::LlvaImage`]):
-    /// the translated tier installs its native section instead of
-    /// probing storage per function, and the pre-decoded interpreter
+    /// the translated tier reads its native section before storage
+    /// (see [`crate::llee::ExecutionManager::set_image`]), and the
+    /// pre-decoded interpreter
     /// tiers deserialize its predecode section on demand instead of
     /// re-lowering SSA. The image's module stamp is verified against
     /// this supervisor's module *once, here* — so the per-execution

@@ -442,7 +442,7 @@ fn every_call_on_a_resident_manager_starts_a_fresh_process() {
 /// manager, not just the one the first run builds.
 #[test]
 fn attachments_after_the_first_run_still_take_effect() {
-    use llva_engine::storage::{SharedStorage, Storage};
+    use llva_engine::storage::{Storage, SyncStorage};
     use llva_engine::{ExecutionManager, LlvaImage};
     use std::sync::Arc;
 
@@ -457,7 +457,7 @@ fn attachments_after_the_first_run_still_take_effect() {
 
         // storage attached late: the next function translated is
         // written back to it
-        let shared = SharedStorage::new(MemStorage::new());
+        let shared = SyncStorage::new(MemStorage::new());
         sup.set_storage(Box::new(shared.clone()), "late");
         assert_eq!(shared.cache_size("late").unwrap_or(0), 0, "{isa}");
         sup.run("spin", &[10]).expect("runs");

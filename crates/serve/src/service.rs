@@ -1923,7 +1923,9 @@ fn build_runtime(
     // Translation warmup through the worker pool, so the image published
     // below is complete: the module's supervisor then installs every
     // function from it once, on first use, and keeps the code resident.
-    // With an image already there, the warmup is a no-op.
+    // The warmup reads the image alone and writes no storage entry: the
+    // image is where this module's code is stored, once. With a whole
+    // image already there, the warmup is a no-op.
     let workers = if config.translate_workers == 0 {
         ExecutionManager::default_workers()
     } else {
@@ -1931,7 +1933,6 @@ fn build_runtime(
     };
     let mut warm =
         ExecutionManager::with_memory_size(parsed.clone(), config.isa, spec.quota.memory_bytes);
-    warm.set_storage(Box::new(storage.clone()), &cache);
     if let Some(img) = &image {
         warm.set_image(img.clone());
     }
@@ -1940,12 +1941,13 @@ fn build_runtime(
         return Err(ServeError::BadModule(format!("translation failed: {e}")));
     }
     let warmup = warm.stats();
-    // Cold start: publish an image so every later load of this module —
-    // any tenant, any process, any respawn — skips translation AND SSA
-    // re-lowering. Built over the *parsed* module (its stamp is the
-    // cache address); the native section carries the warm manager's
-    // target-configured per-function stamps.
-    if image.is_none() {
+    // Publish an image whenever the warmup translated anything — a cold
+    // start, or an image whose native section was damaged — so every
+    // later load of this module (any tenant, any process, any respawn)
+    // skips translation AND SSA re-lowering. Built over the *parsed*
+    // module (its stamp is the cache address); the native section
+    // carries the warm manager's target-configured per-function stamps.
+    if warmup.functions_translated > 0 {
         let pre = PreModule::new(&parsed);
         pre.decode_all();
         let mut builder = ImageBuilder::new(&parsed);
@@ -1955,6 +1957,7 @@ fn build_runtime(
         let mut handle = storage.clone();
         handle.write(&cache, IMAGE_ENTRY, &bytes, module_stamp);
         image = LlvaImage::parse(bytes).ok().map(Arc::new);
+        image_mapped = false;
     }
     drop(warm);
 

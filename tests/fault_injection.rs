@@ -13,7 +13,7 @@
 
 use llva::engine::llee::{EngineError, ExecutionManager, TargetIsa, CACHE_ENTRY};
 use llva::engine::storage::{
-    DirStorage, FaultPlan, FaultyStorage, MemStorage, SharedStorage, Storage, QUARANTINE_SUFFIX,
+    DirStorage, FaultPlan, FaultyStorage, MemStorage, Storage, SyncStorage, QUARANTINE_SUFFIX,
 };
 
 const FIB: &str = r#"
@@ -43,10 +43,10 @@ fn module() -> llva::core::module::Module {
     llva::core::parser::parse_module(FIB).expect("parses")
 }
 
-type TestStorage = SharedStorage<FaultyStorage<MemStorage>>;
+type TestStorage = SyncStorage<FaultyStorage<MemStorage>>;
 
 fn faulty_storage(plan: FaultPlan) -> TestStorage {
-    SharedStorage::new(FaultyStorage::new(MemStorage::new(), plan))
+    SyncStorage::new(FaultyStorage::new(MemStorage::new(), plan))
 }
 
 /// Warm cache → corrupt one entry → re-run: identical output, exactly
@@ -233,7 +233,7 @@ fn chaos_over_dir_storage_never_changes_results() {
         .expect("runs")
         .value;
     for seed in chaos_seeds() {
-        let storage = SharedStorage::new(FaultyStorage::new(
+        let storage = SyncStorage::new(FaultyStorage::new(
             DirStorage::new(root.join(format!("seed{seed}"))),
             FaultPlan::chaos(seed),
         ));

@@ -100,10 +100,15 @@ fn exercise(bytes: &[u8]) -> Option<u64> {
     let mut mgr = ExecutionManager::new(module.clone(), TargetIsa::X86);
     mgr.set_image(image.clone());
     let _ = mgr.run("main", &[]);
-    // interpreter warm path: lazy record loader, eager install
+    // interpreter warm path: the lazy record loader, asked for every
+    // defined function so that every record is decoded
     let pre = PreModule::new(&module);
     let _ = image.attach_loader(&pre);
-    let _ = image.install_predecoded(&pre);
+    for (fid, f) in module.functions() {
+        if !f.is_declaration() {
+            pre.get(fid);
+        }
+    }
     let (pre, _) = image.premodule(&module).ok()?;
     let mut interp = FastInterpreter::with_predecoded(pre);
     interp.run("main", &[]).ok()

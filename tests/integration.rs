@@ -4,7 +4,7 @@
 
 use llva::core::layout::TargetConfig;
 use llva::engine::llee::{ExecutionManager, TargetIsa};
-use llva::engine::storage::{MemStorage, SharedStorage, Storage};
+use llva::engine::storage::{MemStorage, Storage, SyncStorage};
 use llva::engine::Interpreter;
 
 /// The full paper pipeline: C-like source → LLVA → link-time opt →
@@ -57,7 +57,7 @@ int main() {
 /// stale code.
 #[test]
 fn cache_lifecycle_across_boots() {
-    let storage = SharedStorage::new(MemStorage::new());
+    let storage = SyncStorage::new(MemStorage::new());
     let src_v1 = "int main() { int s = 0; for (int i = 0; i < 50; i++) s += i; return s; }";
     let src_v2 = "int main() { int s = 1; for (int i = 0; i < 50; i++) s += i; return s; }";
     let compile = |s: &str| llva::minic::compile(s, "boot", TargetConfig::default()).expect("ok");
