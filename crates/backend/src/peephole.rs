@@ -26,8 +26,7 @@
 //! preserving.
 //!
 //! The pass is on by default; the conformance oracle's `*:nopeep`
-//! stages and the perf-smoke instruction-count deltas switch it off
-//! through [`PeepholeConfig`].
+//! stages switch it off through [`PeepholeConfig`].
 
 use llva_machine::common::Width;
 use std::collections::HashSet;
@@ -52,7 +51,7 @@ impl PeepholeConfig {
     }
 }
 
-/// Counts of applied rewrites, for perf-smoke reporting.
+/// Counts of applied rewrites, per rule (the per-rule tests check them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeepholeStats {
     /// Rule 1: self-moves deleted.

@@ -35,7 +35,7 @@ pub fn compile_riscv(module: &Module, fid: FuncId) -> Vec<RiscvInst> {
 }
 
 /// [`compile_riscv`] with an explicit peephole configuration (used by
-/// the conformance oracle's off-vs-on stages and perf-smoke deltas).
+/// the conformance oracle's off-vs-on stages).
 pub fn compile_riscv_with(module: &Module, fid: FuncId, peep: &PeepholeConfig) -> Vec<RiscvInst> {
     lower::compile::<Riscv>(module, fid, peep)
 }

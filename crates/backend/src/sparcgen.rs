@@ -35,7 +35,7 @@ pub fn compile_sparc(module: &Module, fid: FuncId) -> Vec<SparcInst> {
 }
 
 /// [`compile_sparc`] with an explicit peephole configuration (used by
-/// the conformance oracle's off-vs-on stages and perf-smoke deltas).
+/// the conformance oracle's off-vs-on stages).
 pub fn compile_sparc_with(module: &Module, fid: FuncId, peep: &PeepholeConfig) -> Vec<SparcInst> {
     lower::compile::<Sparc>(module, fid, peep)
 }

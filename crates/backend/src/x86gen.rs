@@ -35,7 +35,7 @@ pub fn compile_x86(module: &Module, fid: FuncId) -> Vec<X86Inst> {
 }
 
 /// [`compile_x86`] with an explicit peephole configuration (used by
-/// the conformance oracle's off-vs-on stages and perf-smoke deltas).
+/// the conformance oracle's off-vs-on stages).
 pub fn compile_x86_with(module: &Module, fid: FuncId, peep: &PeepholeConfig) -> Vec<X86Inst> {
     lower::compile::<X86>(module, fid, peep)
 }
@@ -48,7 +48,7 @@ pub fn compile_x86_naive(module: &Module, fid: FuncId) -> Vec<X86Inst> {
 
 /// Counts the frame-traffic (spill) instructions in a compiled stream:
 /// loads and stores whose address is `ebp`-relative. This is the
-/// "spill code" metric perf-smoke reports for Table 2 deltas.
+/// "spill code" metric Table 2 reports for both x86 translators.
 pub fn spill_count(code: &[X86Inst]) -> usize {
     code.iter()
         .filter(|i| match i {

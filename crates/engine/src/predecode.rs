@@ -4,8 +4,8 @@
 //! readable executable spec: it walks `Module` structures on every step
 //! and keeps SSA values in a per-frame `HashMap`. That is exactly the
 //! right shape for auditing against the paper, and exactly the wrong
-//! shape for the ~19-stage differential conformance sweeps that now run
-//! it as their baseline.
+//! shape for the differential conformance sweeps, whose 28 stages are
+//! each checked against it as their baseline.
 //!
 //! This module adds a one-time, per-function lowering of verified SSA
 //! into a flat, dense [`PreFunction`]:

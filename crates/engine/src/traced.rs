@@ -61,7 +61,7 @@ impl Default for TraceConfig {
     }
 }
 
-/// Counters describing trace-tier activity, for tests and `perf-smoke`.
+/// Counters describing trace-tier activity, for tests and the benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Traces compiled and anchored (recompilations count again).

@@ -112,7 +112,10 @@ pub enum ServeError {
     },
     /// The named module is not loaded for this tenant.
     NoSuchModule(String),
-    /// The module source failed to parse or verify.
+    /// The module source failed to parse, its global image does not fit
+    /// the tenant's address space, or its warmup translation failed.
+    /// The source is not verified: a module that parses but breaks the
+    /// V-ISA's rules can load and run.
     BadModule(String),
     /// The entry function does not exist in the module.
     NoSuchFunction(String),

@@ -1,7 +1,8 @@
 //! `llva-run` — LLEE from the command line: execute virtual object code
 //! (or assembly) on the reference interpreter or a simulated processor,
 //! with optional offline caching through the storage API and persistent
-//! module images for warm starts.
+//! module images for warm starts. A module that fails the verifier
+//! (text, bytecode or an image's) is refused before anything runs.
 //!
 //! Usage:
 //!   llva-run program.bc [args...]
@@ -111,6 +112,16 @@ fn main() {
             exit(1);
         }
     };
+    // the translators and interpreters trust the V-ISA's type rules and
+    // SSA form, so nothing runs that breaks them
+    if let Err(e) = llva::core::verifier::verify_module(&module) {
+        let source = image_path
+            .as_deref()
+            .or(path.as_deref())
+            .unwrap_or_default();
+        eprint!("llva-run: {source}: {e}");
+        exit(1);
+    }
 
     if let Some(out) = emit_image {
         // offline image build (§4.1 translation during idle time):
