@@ -180,9 +180,6 @@ pub struct Interpreter<'m> {
     sp: u64,
     insts: u64,
     fuel: u64,
-    /// Fault injection: panic once `insts` reaches this count (see
-    /// [`Interpreter::arm_panic_after`]). `None` = disarmed.
-    panic_after: Option<u64>,
     bool_ty: TypeId,
 }
 
@@ -225,7 +222,6 @@ impl<'m> Interpreter<'m> {
             sp,
             insts: 0,
             fuel: u64::MAX,
-            panic_after: None,
             bool_ty,
         }
     }
@@ -233,14 +229,6 @@ impl<'m> Interpreter<'m> {
     /// Limits the number of LLVA instructions executed.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
-    }
-
-    /// Fault injection for the supervisor and robustness tests: panic
-    /// (deterministically, mid-frame) once `insts` instructions have
-    /// executed. The panic unwinds through live interpreter state, so
-    /// callers exercising `catch_unwind` recovery see the worst case.
-    pub fn arm_panic_after(&mut self, insts: u64) {
-        self.panic_after = Some(insts);
     }
 
     /// LLVA instructions executed so far.
@@ -362,9 +350,6 @@ impl<'m> Interpreter<'m> {
     fn step(&mut self) -> Result<Option<u64>, InterpError> {
         if self.fuel == 0 {
             return Err(InterpError::OutOfFuel);
-        }
-        if self.panic_after.is_some_and(|n| self.insts >= n) {
-            panic!("injected interpreter fault after {} insts", self.insts);
         }
         self.fuel -= 1;
         self.insts += 1;

@@ -883,17 +883,25 @@ impl ExecutionManager {
         let blob = self.engine.translate(&self.module, fid, &self.peephole);
         self.stats.translate_time += start.elapsed();
         self.stats.functions_translated += 1;
-        // write back to storage, framed for validation and verified by
-        // read-back (with bounded retry for transient faults)
-        let (key, framed, ts) = self.stored_entry(f, &blob);
-        let written = self.storage.is_some() && self.write_validated(&key, &framed, ts);
-        if probe == Probe::Corrupt {
+        self.write_back(f, &blob, probe == Probe::Corrupt);
+        Ok(false)
+    }
+
+    /// Writes a fresh translation back to storage, framed for
+    /// validation and verified by read-back (with bounded retry for
+    /// transient faults), and counts the recovery of an entry the probe
+    /// found corrupt. Without storage nothing is written.
+    fn write_back(&mut self, f: u32, code: &[u8], was_corrupt: bool) {
+        let written = self.storage.is_some() && {
+            let (key, framed, ts) = self.stored_entry(f, code);
+            self.write_validated(&key, &framed, ts)
+        };
+        if was_corrupt {
             self.stats.cache_retried += 1;
             if written {
                 self.stats.cache_recovered += 1;
             }
         }
-        Ok(false)
     }
 
     /// Offline translation of the whole program (§4.1: translation
@@ -980,39 +988,10 @@ impl ExecutionManager {
         }
         self.stats.translate_time += start.elapsed();
         self.stats.functions_translated += blobs.len();
-        // batched write-back after the join: one write_batch flush (so
-        // wrappers with a dirty-batch notion, e.g. SyncStorage, can
-        // discard the remainder if the flush dies), then per-entry
-        // read-back validation with bounded retry for transient faults
-        let translated: Vec<u32> = blobs.iter().map(|&(f, _)| f).collect();
-        let entries: Vec<(String, Vec<u8>, u64)> = blobs
-            .into_iter()
-            .map(|(f, blob)| self.stored_entry(f, &blob))
-            .collect();
-        let mut written = vec![false; entries.len()];
-        if let Some(storage) = &mut self.storage {
-            storage.write_batch(&self.cache_name, &entries);
-            for (landed, (key, framed, ts)) in written.iter_mut().zip(&entries) {
-                *landed = storage
-                    .read(&self.cache_name, key)
-                    .is_some_and(|(blob, got_ts)| got_ts == *ts && blob == *framed);
-            }
-        }
-        // entries the flush did not land durably get the same validated
-        // rewrite path (and retried_ok/gave_up accounting) as the serial
-        // translator; without storage nothing is written
-        for (landed, (key, framed, ts)) in written.iter_mut().zip(&entries) {
-            if !*landed {
-                *landed = self.write_validated(key, framed, *ts);
-            }
-        }
-        for f in corrupt {
-            if let Some(pos) = translated.iter().position(|&t| t == f) {
-                self.stats.cache_retried += 1;
-                if written[pos] {
-                    self.stats.cache_recovered += 1;
-                }
-            }
+        // serial write-back in function-id order, entry by entry, as
+        // translate() does
+        for (f, blob) in blobs {
+            self.write_back(f, &blob, corrupt.contains(&f));
         }
         match poisoned {
             None => Ok(()),
@@ -1542,6 +1521,49 @@ entry:
                 }
             }
         }
+    }
+
+    #[test]
+    fn panic_mid_parallel_write_back_leaves_only_landed_entries() {
+        use crate::storage::{FaultPlan, FaultyStorage, SyncStorage};
+        let src = many_functions(4);
+        let storage = SyncStorage::new(FaultyStorage::new(MemStorage::new(), FaultPlan::none(7)));
+        storage.with(|s| s.arm_write_panic(2)); // the 2nd write-back panics
+        let mut mgr = ExecutionManager::new(module(&src), TargetIsa::X86);
+        mgr.set_storage(Box::new(storage.clone()), "app");
+        let keys: Vec<String> = mgr
+            .defined_functions()
+            .into_iter()
+            .map(|f| mgr.cache_key(f))
+            .collect();
+        assert_eq!(keys.len(), 5);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mgr.translate_all_parallel(2)
+        }));
+        assert!(result.is_err(), "the write-back must have panicked");
+        drop(mgr);
+        // the write before the panic landed; the later ones were never made
+        assert!(
+            storage.read("app", &keys[0]).is_some(),
+            "first entry stored"
+        );
+        for key in &keys[1..] {
+            assert_eq!(storage.read("app", key), None, "{key} must be absent");
+        }
+        // the poisoned lock recovers: the storage stays usable
+        let mut handle = storage.clone();
+        handle.write("app", "probe", b"ok", 1);
+        assert_eq!(storage.read("app", "probe"), Some((b"ok".to_vec(), 1)));
+        // a fresh manager over the same storage stores every function
+        let mut mgr = ExecutionManager::new(module(&src), TargetIsa::X86);
+        mgr.set_storage(Box::new(storage.clone()), "app");
+        mgr.translate_all_parallel(2).expect("translates");
+        assert_eq!(mgr.stats().cache_hits, 1, "the landed entry is a hit");
+        assert_eq!(mgr.stats().functions_translated, 4);
+        for key in &keys {
+            assert!(storage.read("app", key).is_some(), "{key} stored");
+        }
+        assert_eq!(mgr.run("main", &[]).expect("runs").value, 21);
     }
 
     #[test]

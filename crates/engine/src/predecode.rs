@@ -798,9 +798,6 @@ pub struct FastInterpreter<'m> {
     sp: u64,
     insts: u64,
     fuel: u64,
-    /// Fault injection: panic once `insts` reaches this count (see
-    /// [`FastInterpreter::arm_panic_after`]). `None` = disarmed.
-    panic_after: Option<u64>,
     phi_scratch: Vec<u64>,
     arg_buf: Vec<u64>,
     /// The hot-trace tier (paper §4.2), `None` when tracing is off.
@@ -882,7 +879,6 @@ impl<'m> FastInterpreter<'m> {
             sp,
             insts: 0,
             fuel: u64::MAX,
-            panic_after: None,
             phi_scratch: Vec::new(),
             arg_buf: Vec::new(),
             trace: None,
@@ -934,14 +930,6 @@ impl<'m> FastInterpreter<'m> {
     /// Limits the number of LLVA instructions executed.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
-    }
-
-    /// Fault injection for the supervisor and robustness tests: panic
-    /// (deterministically, mid-dispatch) once `insts` instructions have
-    /// executed — the unwind crosses a live register slab and frame
-    /// stack, the worst case for `catch_unwind` recovery.
-    pub fn arm_panic_after(&mut self, insts: u64) {
-        self.panic_after = Some(insts);
     }
 
     /// LLVA instructions executed so far (identical to the structural
@@ -1141,12 +1129,6 @@ impl<'m> FastInterpreter<'m> {
                 self.commit(&acct);
                 self.frames.last_mut().expect("active frame").pc = pc;
                 return Err(InterpError::OutOfFuel);
-            }
-            if let Some(n) = self.panic_after {
-                if acct.insts0 + acct.steps >= n {
-                    self.commit(&acct);
-                    panic!("injected fast-interpreter fault after {} insts", self.insts);
-                }
             }
             acct.steps += 1;
 
@@ -1461,7 +1443,7 @@ impl<'m> FastInterpreter<'m> {
         acct: &mut Acct,
     ) -> Result<u32, InterpError> {
         let pc = self.take_edge(cur, base, e)?;
-        if self.trace.is_none() || self.panic_after.is_some() {
+        if self.trace.is_none() {
             return Ok(pc);
         }
         let block = cur.edges[e as usize].target_block;
@@ -1478,7 +1460,7 @@ impl<'m> FastInterpreter<'m> {
         pc: u32,
         acct: &mut Acct,
     ) -> Result<u32, InterpError> {
-        if self.trace.is_none() || self.panic_after.is_some() {
+        if self.trace.is_none() {
             return Ok(pc);
         }
         let block = cur.traps.get(pc as usize).map(|&(b, _)| b);
@@ -1497,7 +1479,7 @@ impl<'m> FastInterpreter<'m> {
         pc: u32,
         acct: &mut Acct,
     ) -> Result<u32, InterpError> {
-        if self.trace.is_none() || self.panic_after.is_some() {
+        if self.trace.is_none() {
             return Ok(pc);
         }
         self.trace_pc(cur, func, base, pc, None, acct)

@@ -74,17 +74,6 @@ pub trait Storage {
         let _ = (cache, name);
         None
     }
-
-    /// Writes several `(name, bytes, timestamp)` entries as one logical
-    /// flush. The default just loops [`Storage::write`]; wrappers with a
-    /// real notion of a dirty batch ([`SyncStorage`]) override this so a
-    /// panic mid-flush can discard the remainder instead of replaying a
-    /// half-written batch later.
-    fn write_batch(&mut self, cache: &str, entries: &[(String, Vec<u8>, u64)]) {
-        for (name, bytes, ts) in entries {
-            self.write(cache, name, bytes, *ts);
-        }
-    }
 }
 
 /// A purely in-memory storage (no OS support — entries die with the
@@ -293,19 +282,7 @@ impl Storage for DirStorage {
 /// storage contract says failures must never break execution, so a
 /// poisoned lock is recovered rather than propagated.
 #[derive(Debug, Default)]
-pub struct SyncStorage<S>(std::sync::Arc<std::sync::Mutex<SyncInner<S>>>);
-
-/// The state behind a [`SyncStorage`] lock: the storage itself plus the
-/// dirty batch of an in-progress [`Storage::write_batch`]. Keeping the
-/// batch *inside* the mutex is the point: if the flushing thread
-/// panics, the poison-recovery path can see exactly which writes were
-/// in flight and discard them, so a half-flushed batch is never
-/// replayed against a storage whose durable state it no longer matches.
-#[derive(Debug, Default)]
-struct SyncInner<S> {
-    storage: S,
-    in_flight: Vec<(String, String, Vec<u8>, u64)>,
-}
+pub struct SyncStorage<S>(std::sync::Arc<std::sync::Mutex<S>>);
 
 // manual impl: cloning the handle must not require S: Clone
 impl<S> Clone for SyncStorage<S> {
@@ -317,23 +294,17 @@ impl<S> Clone for SyncStorage<S> {
 impl<S: Storage> SyncStorage<S> {
     /// Wraps `storage` in a thread-shared handle.
     pub fn new(storage: S) -> SyncStorage<S> {
-        SyncStorage(std::sync::Arc::new(std::sync::Mutex::new(SyncInner {
-            storage,
-            in_flight: Vec::new(),
-        })))
+        SyncStorage(std::sync::Arc::new(std::sync::Mutex::new(storage)))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SyncInner<S>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, S> {
         match self.0.lock() {
             Ok(guard) => guard,
             Err(poison) => {
-                // a holder panicked mid-operation: recover the lock and
-                // drop whatever batch it was flushing — the durable
-                // writes already landed, the rest must not be replayed
+                // a holder panicked mid-operation: the writes before the
+                // panic landed, the rest were never made
                 self.0.clear_poison();
-                let mut guard = poison.into_inner();
-                guard.in_flight.clear();
-                guard
+                poison.into_inner()
             }
         }
     }
@@ -341,59 +312,37 @@ impl<S: Storage> SyncStorage<S> {
     /// Runs `f` with direct access to the wrapped storage, recovering
     /// the lock if a previous holder panicked.
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.lock().storage)
-    }
-
-    /// Entries of a write batch still awaiting durable write (non-zero
-    /// only while a flush is in progress; always zero after poison
-    /// recovery — the regression surface for half-flushed batches).
-    pub fn pending_batch_len(&self) -> usize {
-        self.lock().in_flight.len()
+        f(&mut self.lock())
     }
 }
 
 impl<S: Storage> Storage for SyncStorage<S> {
     fn create_cache(&mut self, cache: &str) {
-        self.lock().storage.create_cache(cache);
+        self.lock().create_cache(cache);
     }
     fn delete_cache(&mut self, cache: &str) {
-        self.lock().storage.delete_cache(cache);
+        self.lock().delete_cache(cache);
     }
     fn cache_size(&self, cache: &str) -> Option<u64> {
-        self.lock().storage.cache_size(cache)
+        self.lock().cache_size(cache)
     }
     fn write(&mut self, cache: &str, name: &str, bytes: &[u8], timestamp: u64) {
-        self.lock().storage.write(cache, name, bytes, timestamp);
+        self.lock().write(cache, name, bytes, timestamp);
     }
     fn read(&self, cache: &str, name: &str) -> Option<(Vec<u8>, u64)> {
-        self.lock().storage.read(cache, name)
+        self.lock().read(cache, name)
     }
     fn timestamp(&self, cache: &str, name: &str) -> Option<u64> {
-        self.lock().storage.timestamp(cache, name)
+        self.lock().timestamp(cache, name)
     }
     fn remove(&mut self, cache: &str, name: &str) {
-        self.lock().storage.remove(cache, name);
+        self.lock().remove(cache, name);
     }
     fn quarantine(&mut self, cache: &str, name: &str) {
-        self.lock().storage.quarantine(cache, name);
+        self.lock().quarantine(cache, name);
     }
     fn file_path(&self, cache: &str, name: &str) -> Option<(PathBuf, usize)> {
-        self.lock().storage.file_path(cache, name)
-    }
-    fn write_batch(&mut self, cache: &str, entries: &[(String, Vec<u8>, u64)]) {
-        let mut guard = self.lock();
-        guard.in_flight = entries
-            .iter()
-            .map(|(n, b, t)| (cache.to_string(), n.clone(), b.clone(), *t))
-            .collect();
-        // drain front-to-back so that if an inner write panics, the
-        // dirty remainder (including the entry whose durability is now
-        // unknown) is still in `in_flight` for poison recovery to drop
-        while !guard.in_flight.is_empty() {
-            let (c, n, b, t) = guard.in_flight[0].clone();
-            guard.storage.write(&c, &n, &b, t);
-            guard.in_flight.remove(0);
-        }
+        self.lock().file_path(cache, name)
     }
 }
 
@@ -427,9 +376,6 @@ impl<T: Storage + ?Sized> Storage for Box<T> {
     }
     fn file_path(&self, cache: &str, name: &str) -> Option<(PathBuf, usize)> {
         (**self).file_path(cache, name)
-    }
-    fn write_batch(&mut self, cache: &str, entries: &[(String, Vec<u8>, u64)]) {
-        (**self).write_batch(cache, entries);
     }
 }
 
@@ -492,14 +438,6 @@ impl<S: Storage> ShardedStorage<S> {
         &self.shards[i]
     }
 
-    /// Sum of [`SyncStorage::pending_batch_len`] across shards — zero
-    /// whenever no flush is in progress; the poison-leak regression
-    /// surface for the whole sharded cache.
-    #[must_use]
-    pub fn pending_batch_total(&self) -> usize {
-        self.shards.iter().map(SyncStorage::pending_batch_len).sum()
-    }
-
     fn route(&self, name: &str) -> &SyncStorage<S> {
         &self.shards[self.shard_index(name)]
     }
@@ -508,12 +446,12 @@ impl<S: Storage> ShardedStorage<S> {
 impl<S: Storage> Storage for ShardedStorage<S> {
     fn create_cache(&mut self, cache: &str) {
         for shard in self.shards.iter() {
-            shard.lock().storage.create_cache(cache);
+            shard.lock().create_cache(cache);
         }
     }
     fn delete_cache(&mut self, cache: &str) {
         for shard in self.shards.iter() {
-            shard.lock().storage.delete_cache(cache);
+            shard.lock().delete_cache(cache);
         }
     }
     fn cache_size(&self, cache: &str) -> Option<u64> {
@@ -531,7 +469,7 @@ impl<S: Storage> Storage for ShardedStorage<S> {
         }
     }
     fn write(&mut self, cache: &str, name: &str, bytes: &[u8], timestamp: u64) {
-        self.route(name).lock().storage.write(cache, name, bytes, timestamp);
+        self.route(name).lock().write(cache, name, bytes, timestamp);
     }
     fn read(&self, cache: &str, name: &str) -> Option<(Vec<u8>, u64)> {
         self.route(name).read(cache, name)
@@ -540,7 +478,7 @@ impl<S: Storage> Storage for ShardedStorage<S> {
         self.route(name).timestamp(cache, name)
     }
     fn remove(&mut self, cache: &str, name: &str) {
-        self.route(name).lock().storage.remove(cache, name);
+        self.route(name).lock().remove(cache, name);
     }
     fn file_path(&self, cache: &str, name: &str) -> Option<(PathBuf, usize)> {
         self.route(name).file_path(cache, name)
@@ -548,21 +486,6 @@ impl<S: Storage> Storage for ShardedStorage<S> {
     // `quarantine` deliberately keeps the default trait implementation:
     // the preserved `.quar` copy routes by its own name, so lookups of
     // either name stay consistent with the routing function.
-    fn write_batch(&mut self, cache: &str, entries: &[(String, Vec<u8>, u64)]) {
-        // split the batch by shard and flush each sub-batch through the
-        // shard's own write_batch, preserving per-shard poison recovery
-        let mut per_shard: Vec<Vec<(String, Vec<u8>, u64)>> =
-            vec![Vec::new(); self.shards.len()];
-        for e in entries {
-            per_shard[self.shard_index(&e.0)].push(e.clone());
-        }
-        for (i, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                let mut shard = self.shards[i].clone();
-                shard.write_batch(cache, &batch);
-            }
-        }
-    }
 }
 
 /// How often [`FaultyStorage`] injects each fault class. Every knob is
@@ -684,8 +607,8 @@ impl<S: Storage> FaultyStorage<S> {
     }
 
     /// Arms a panic on the `n`-th subsequent `write` (1 = the very next
-    /// one), *after* the inner write would have started — the test hook
-    /// for a crash mid-flush. Disarmed once fired.
+    /// one), before the inner write — the test hook for a crash part-way
+    /// through a run of write-backs. Disarmed once fired.
     pub fn arm_write_panic(&mut self, n: u32) {
         self.write_panic_in.set(n);
     }
@@ -1022,42 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn poison_recovery_discards_half_flushed_batch() {
-        // a panic mid-write_batch must not leave the dirty remainder
-        // behind for a later lock holder to replay
-        let storage = SyncStorage::new(FaultyStorage::new(MemStorage::new(), FaultPlan::none(7)));
-        storage.with(|s| {
-            s.create_cache("app");
-            s.arm_write_panic(2); // the 2nd write of the flush panics
-        });
-        let batch = vec![
-            ("fn0".to_string(), b"code0".to_vec(), 10),
-            ("fn1".to_string(), b"code1".to_vec(), 11),
-            ("fn2".to_string(), b"code2".to_vec(), 12),
-        ];
-        let flusher = storage.clone();
-        let result = std::thread::spawn(move || {
-            let mut flusher = flusher;
-            flusher.write_batch("app", &batch);
-        })
-        .join();
-        assert!(result.is_err(), "flush thread must have panicked");
-        // recovery: the first entry landed before the panic, the rest of
-        // the batch is discarded — not replayed by the next lock holder
-        assert_eq!(storage.pending_batch_len(), 0, "dirty batch reset on recovery");
-        assert_eq!(storage.read("app", "fn0"), Some((b"code0".to_vec(), 10)));
-        assert_eq!(storage.read("app", "fn1"), None, "unflushed entry must not appear");
-        assert_eq!(storage.read("app", "fn2"), None, "unflushed entry must not appear");
-        // a fresh batch flushes normally and still does not resurrect
-        // the dead entries
-        let mut again = storage.clone();
-        again.write_batch("app", &[("fn9".to_string(), b"code9".to_vec(), 19)]);
-        assert_eq!(storage.read("app", "fn9"), Some((b"code9".to_vec(), 19)));
-        assert_eq!(storage.read("app", "fn1"), None);
-        assert_eq!(storage.pending_batch_len(), 0);
-    }
-
-    #[test]
     fn dir_storage_write_is_atomic_and_sweeps_orphans() {
         let dir = std::env::temp_dir().join(format!("llva-storage-atomic-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1201,21 +1088,6 @@ mod tests {
                 "entry written by thread {t} must be visible from any handle"
             );
         }
-        assert_eq!(storage.pending_batch_total(), 0);
-    }
-
-    #[test]
-    fn sharded_storage_write_batch_splits_by_shard() {
-        let mut storage = ShardedStorage::new(4, |_| MemStorage::new());
-        storage.create_cache("app");
-        let batch: Vec<(String, Vec<u8>, u64)> = (0..32u64)
-            .map(|i| (format!("fn{i}"), vec![i as u8; 4], i))
-            .collect();
-        storage.write_batch("app", &batch);
-        for (name, bytes, ts) in &batch {
-            assert_eq!(storage.read("app", name), Some((bytes.clone(), *ts)));
-        }
-        assert_eq!(storage.pending_batch_total(), 0);
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! run walks a **tier ladder**
 //!
 //! ```text
-//! translated native code  →  traced FastInterpreter  →  pre-decoded FastInterpreter  →  structural Interpreter
+//! translated native code  →  pre-decoded FastInterpreter  →  structural Interpreter
 //! ```
 //!
 //! where each tier executes under `catch_unwind` plus a fuel/step
-//! watchdog. On a panic, an engine fault, or watchdog expiry the
-//! supervisor **quarantines** that `(function, tier)` pair, records a
-//! structured [`Incident`] (tier, function, cause, recovery action,
-//! prior-fault count), and transparently re-runs on the next tier — the
-//! caller still gets a [`SupervisedRun`]. The structural [`Interpreter`]
+//! watchdog. (The hot-trace tier, [`crate::traced`], is not a rung: it
+//! is the pre-decoded executor with tracing on, so it would add a rung
+//! but no new executor.) On a panic, an engine fault, or watchdog
+//! expiry the supervisor **quarantines** that `(function, tier)` pair,
+//! records a structured [`Incident`] (tier, function, cause, recovery
+//! action, prior-fault count), and transparently re-runs on the next
+//! tier — the caller still gets a [`SupervisedRun`]. The structural [`Interpreter`]
 //! is the last rung: it is the semantic oracle (PR 3/4) and always runs
 //! with the caller's full fuel.
 //!
@@ -32,15 +34,13 @@
 //! # Determinism
 //!
 //! Incidents carry no wall-clock data, quarantine state is kept in
-//! ordered maps, and fault injection ([`TierKill`], the interpreters'
-//! `arm_panic_after` hooks, [`crate::storage::FaultyStorage`]) is
-//! seed/count based — the same inputs replay the same [`IncidentLog`]
-//! bit for bit.
+//! ordered maps, and fault injection ([`TierKill`],
+//! [`crate::storage::FaultyStorage`]) is seed/count based — the same
+//! inputs replay the same [`IncidentLog`] bit for bit.
 
 use crate::interp::Interpreter;
 use crate::llee::{EngineError, ExecutionManager, TargetIsa};
 use crate::predecode::FastInterpreter;
-use crate::traced::TraceConfig;
 use crate::storage::Storage;
 use crate::InterpError;
 use llva_core::module::Module;
@@ -56,10 +56,7 @@ use std::sync::Once;
 pub enum Tier {
     /// LLEE-translated native code on the simulated processor.
     Translated,
-    /// The pre-decoded interpreter with the hot-trace tier enabled:
-    /// profile-guided trace compilation with fused superinstructions.
-    Traced,
-    /// The pre-decoded register-file interpreter.
+    /// The pre-decoded register-file interpreter (tracing off).
     FastInterp,
     /// The structural reference interpreter (the semantic oracle).
     Interp,
@@ -67,27 +64,24 @@ pub enum Tier {
 
 impl Tier {
     /// The full ladder, fastest tier first.
-    pub const LADDER: [Tier; 4] =
-        [Tier::Translated, Tier::Traced, Tier::FastInterp, Tier::Interp];
+    pub const LADDER: [Tier; 3] = [Tier::Translated, Tier::FastInterp, Tier::Interp];
 
     /// Dense index (for per-tier counter arrays).
     #[must_use]
     pub fn index(self) -> usize {
         match self {
             Tier::Translated => 0,
-            Tier::Traced => 1,
-            Tier::FastInterp => 2,
-            Tier::Interp => 3,
+            Tier::FastInterp => 1,
+            Tier::Interp => 2,
         }
     }
 
     /// Parses the names used by `LLVA_KILL_TIER` (`translated`,
-    /// `traced`/`traced-interp`, `fast-interp`/`predecode`, `interp`).
+    /// `fast-interp`/`predecode`, `interp`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Tier> {
         match s.trim() {
             "translated" => Some(Tier::Translated),
-            "traced" | "traced-interp" => Some(Tier::Traced),
             "fast-interp" | "predecode" => Some(Tier::FastInterp),
             "interp" => Some(Tier::Interp),
             _ => None,
@@ -99,7 +93,6 @@ impl fmt::Display for Tier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Tier::Translated => "translated",
-            Tier::Traced => "traced",
             Tier::FastInterp => "fast-interp",
             Tier::Interp => "interp",
         })
@@ -455,9 +448,8 @@ impl std::error::Error for SupervisorError {}
 /// How an armed [`TierKill`] sabotages its tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillMode {
-    /// Panic inside the tier (at entry for translated code, after one
-    /// executed instruction for the interpreters — mid-frame, so the
-    /// unwind crosses live state).
+    /// Panic inside the rung's `catch_unwind`, after its executor is
+    /// built and before it runs — the same point on every rung.
     Panic,
     /// Flip the returned value (a *silent* wrong answer — only
     /// cross-check mode can catch this one).
@@ -489,17 +481,32 @@ impl TierKill {
 
 /// Parses the `LLVA_KILL_TIER` environment variable: a comma-separated
 /// list of tier names (`translated,fast-interp`), each armed as a panic
-/// kill. Unknown names are ignored; unset or empty yields no kills.
+/// kill. Unset or empty yields no kills.
+///
+/// # Panics
+///
+/// On a name [`Tier::parse`] does not know: a stale tier name would
+/// otherwise arm nothing and let a fault-injection run pass unkilled.
 #[must_use]
 pub fn kills_from_env() -> Vec<TierKill> {
-    match std::env::var("LLVA_KILL_TIER") {
-        Ok(spec) => spec
-            .split(',')
-            .filter_map(Tier::parse)
-            .map(TierKill::panic)
-            .collect(),
-        Err(_) => Vec::new(),
-    }
+    let spec = std::env::var("LLVA_KILL_TIER").unwrap_or_default();
+    parse_kills(&spec).unwrap_or_else(|e| panic!("LLVA_KILL_TIER: {e}"))
+}
+
+/// Parses a comma-separated tier list into panic kills, naming the
+/// first unknown entry and the valid names when one does not parse.
+fn parse_kills(spec: &str) -> Result<Vec<TierKill>, String> {
+    spec.split(',')
+        .filter(|name| !name.trim().is_empty())
+        .map(|name| {
+            Tier::parse(name).map(TierKill::panic).ok_or_else(|| {
+                format!(
+                    "unknown tier {:?} (valid: translated, fast-interp, predecode, interp)",
+                    name.trim()
+                )
+            })
+        })
+        .collect()
 }
 
 /// What one tier execution produced, pre-recovery.
@@ -533,7 +540,7 @@ pub struct Supervisor {
     fault_counts: BTreeMap<(String, Tier), u32>,
     probe_successes: BTreeMap<(String, Tier), u32>,
     log: IncidentLog,
-    counters: [TierCounters; 4],
+    counters: [TierCounters; Tier::LADDER.len()],
     /// Translation statistics of managers already discarded.
     translation: crate::llee::TranslationStats,
     /// Warm-load fast path: a persistent module image probed before
@@ -551,11 +558,6 @@ impl fmt::Debug for Supervisor {
             .finish()
     }
 }
-
-/// Instructions an interpreter tier executes before an armed
-/// [`KillMode::Panic`] fires — small enough that every defined function
-/// is hit, large enough that the panic unwinds through a live frame.
-const KILL_AFTER_INSTS: u64 = 1;
 
 impl Supervisor {
     /// A supervisor over `module` whose translated tier targets `isa`,
@@ -585,7 +587,7 @@ impl Supervisor {
             fault_counts: BTreeMap::new(),
             probe_successes: BTreeMap::new(),
             log: IncidentLog::default(),
-            counters: [TierCounters::default(); 4],
+            counters: [TierCounters::default(); Tier::LADDER.len()],
             translation: crate::llee::TranslationStats::default(),
             image: None,
         }
@@ -721,7 +723,7 @@ impl Supervisor {
 
     /// Per-tier counters, indexed by [`Tier::index`].
     #[must_use]
-    pub fn tier_counters(&self) -> &[TierCounters; 4] {
+    pub fn tier_counters(&self) -> &[TierCounters; Tier::LADDER.len()] {
         &self.counters
     }
 
@@ -1024,13 +1026,11 @@ impl Supervisor {
             Tier::Translated => {
                 let mgr = self.resident_manager();
                 mgr.set_fuel(budget);
-                let result = catch_quiet(AssertUnwindSafe(|| {
-                    if kill == Some(KillMode::Panic) {
-                        panic!("injected tier kill: translated");
-                    }
+                let result = catch_quiet(|| {
+                    fire_kill(kill, tier);
                     mgr.start_process();
                     mgr.run(entry, args)
-                }));
+                });
                 let steps = mgr.exec_stats().instructions;
                 if result.is_ok() {
                     // a parked supervisor holds code, not a used
@@ -1055,14 +1055,13 @@ impl Supervisor {
                     Err(msg) => TierRun::Fault(IncidentCause::Panic(msg)),
                 }
             }
-            Tier::Traced | Tier::FastInterp => {
-                let module = &self.module;
-                let mem = self.memory_size;
-                let image = self.image.clone();
-                let mut steps = 0;
-                let result = catch_quiet(AssertUnwindSafe(|| {
+            // both interpreters are built fresh for every run and
+            // dropped after it, so an unwind never leaves state behind
+            Tier::FastInterp => {
+                let (module, mem, image) = (&self.module, self.memory_size, &self.image);
+                let result = catch_quiet(|| {
                     let pre = std::rc::Rc::new(crate::predecode::PreModule::new(module));
-                    if let Some(image) = &image {
+                    if let Some(image) = image {
                         // best-effort warm attach (stamp was verified at
                         // set_image): corrupt sections or records fall
                         // back to lazy SSA lowering
@@ -1070,66 +1069,58 @@ impl Supervisor {
                     }
                     let mut interp = FastInterpreter::with_predecoded_memory(pre, mem);
                     interp.set_fuel(budget);
-                    if tier == Tier::Traced {
-                        interp.enable_tracing(TraceConfig::default());
-                    }
-                    if kill == Some(KillMode::Panic) {
-                        // the kill disarms trace entry, so the injected
-                        // fault fires deterministically in the general
-                        // dispatch loop regardless of trace state
-                        interp.arm_panic_after(KILL_AFTER_INSTS);
-                    }
+                    fire_kill(kill, tier);
                     let r = interp.run(entry, args);
                     (r, interp.insts_executed())
-                }));
-                if let Ok((_, n)) = &result {
-                    steps = *n;
-                }
-                Supervisor::map_interp(result.map(|(r, _)| r), watchdog_armed, budget, steps)
+                });
+                Supervisor::map_interp(result, watchdog_armed, budget)
             }
             Tier::Interp => {
-                let module = &self.module;
-                let mem = self.memory_size;
-                let mut steps = 0;
-                let result = catch_quiet(AssertUnwindSafe(|| {
+                let (module, mem) = (&self.module, self.memory_size);
+                let result = catch_quiet(|| {
                     let mut interp = Interpreter::with_memory_size(module, mem);
                     interp.set_fuel(budget);
-                    if kill == Some(KillMode::Panic) {
-                        interp.arm_panic_after(KILL_AFTER_INSTS);
-                    }
+                    fire_kill(kill, tier);
                     let r = interp.run(entry, args);
                     (r, interp.insts_executed())
-                }));
-                if let Ok((_, n)) = &result {
-                    steps = *n;
-                }
-                Supervisor::map_interp(result.map(|(r, _)| r), watchdog_armed, budget, steps)
+                });
+                Supervisor::map_interp(result, watchdog_armed, budget)
             }
         }
     }
 
-    /// Maps an interpreter tier's result onto [`TierRun`].
+    /// Maps an interpreter tier's result and step count onto [`TierRun`].
     fn map_interp(
-        result: Result<Result<u64, InterpError>, String>,
+        result: Result<(Result<u64, InterpError>, u64), String>,
         watchdog_armed: bool,
         budget: u64,
-        steps: u64,
     ) -> TierRun {
         match result {
-            Ok(Ok(v)) => TierRun::Done(TierOutcome::Value(v), steps),
-            Ok(Err(InterpError::Trap(t))) => TierRun::Done(TierOutcome::Trap(t.kind), steps),
-            Ok(Err(InterpError::OutOfFuel)) => {
+            Ok((Ok(v), steps)) => TierRun::Done(TierOutcome::Value(v), steps),
+            Ok((Err(InterpError::Trap(t)), steps)) => {
+                TierRun::Done(TierOutcome::Trap(t.kind), steps)
+            }
+            Ok((Err(InterpError::OutOfFuel), steps)) => {
                 if watchdog_armed {
                     TierRun::Fault(IncidentCause::Watchdog { budget })
                 } else {
                     TierRun::Done(TierOutcome::OutOfFuel, steps)
                 }
             }
-            Ok(Err(e @ InterpError::NoSuchFunction(_))) => {
+            Ok((Err(e @ InterpError::NoSuchFunction(_)), _)) => {
                 TierRun::Fault(IncidentCause::Fault(e.to_string()))
             }
             Err(msg) => TierRun::Fault(IncidentCause::Panic(msg)),
         }
+    }
+}
+
+/// The one kill site: an armed [`KillMode::Panic`] fires here, inside
+/// the rung's [`catch_quiet`], after the rung's executor is built and
+/// before it runs.
+fn fire_kill(kill: Option<KillMode>, tier: Tier) {
+    if kill == Some(KillMode::Panic) {
+        panic!("injected tier kill: {tier}");
     }
 }
 
@@ -1230,7 +1221,7 @@ entry:
         sup.arm_kill(TierKill::panic(Tier::Translated));
         let run = sup.run("main", &[]).expect("degrades");
         assert_eq!(run.outcome, TierOutcome::Value(55));
-        assert_eq!(run.tier, Tier::Traced);
+        assert_eq!(run.tier, Tier::FastInterp);
         assert!(run.degraded);
         assert!(sup.is_quarantined("main", Tier::Translated));
     }
@@ -1246,12 +1237,12 @@ entry:
     }
 
     #[test]
-    fn killed_translated_tier_degrades_to_traced() {
+    fn killed_translated_tier_degrades_to_fast_interp() {
         let mut sup = Supervisor::new(module(), TargetIsa::Sparc);
         sup.arm_kill(TierKill::panic(Tier::Translated));
         let run = sup.run("main", &[]).expect("degrades");
         assert_eq!(run.outcome, TierOutcome::Value(55));
-        assert_eq!(run.tier, Tier::Traced);
+        assert_eq!(run.tier, Tier::FastInterp);
         assert!(run.degraded);
         let log = sup.incident_log();
         assert_eq!(log.len(), 1);
@@ -1259,7 +1250,7 @@ entry:
         assert_eq!(i.tier, Tier::Translated);
         assert_eq!(i.function, "main");
         assert!(matches!(i.cause, IncidentCause::Panic(_)));
-        assert_eq!(i.recovery, RecoveryAction::FellBack(Tier::Traced));
+        assert_eq!(i.recovery, RecoveryAction::FellBack(Tier::FastInterp));
         assert!(i.injected);
         assert!(sup.is_quarantined("main", Tier::Translated));
         // second run: quarantine skip, no new incident
@@ -1274,15 +1265,24 @@ entry:
 
     #[test]
     fn kills_from_env_parses_tier_lists() {
-        // pure parse test via Tier::parse (env mutation would race other
+        // pure parse test via parse_kills (env mutation would race other
         // tests in this process)
         assert_eq!(Tier::parse("translated"), Some(Tier::Translated));
-        assert_eq!(Tier::parse("traced"), Some(Tier::Traced));
-        assert_eq!(Tier::parse("traced-interp"), Some(Tier::Traced));
         assert_eq!(Tier::parse("fast-interp"), Some(Tier::FastInterp));
         assert_eq!(Tier::parse("predecode"), Some(Tier::FastInterp));
         assert_eq!(Tier::parse(" interp "), Some(Tier::Interp));
-        assert_eq!(Tier::parse("nonsense"), None);
+        assert_eq!(
+            parse_kills("translated,fast-interp"),
+            Ok(vec![TierKill::panic(Tier::Translated), TierKill::panic(Tier::FastInterp)])
+        );
+        assert_eq!(parse_kills(""), Ok(vec![]));
+        // a name the ladder does not have is refused, not skipped: the
+        // error names the entry and the valid names
+        for (spec, bad) in [("traced", "\"traced\""), ("translated,tracd", "\"tracd\"")] {
+            let err = parse_kills(spec).expect_err(spec);
+            assert!(err.contains(bad), "{err}");
+            assert!(err.contains("translated, fast-interp, predecode, interp"), "{err}");
+        }
     }
 
     #[test]
@@ -1320,7 +1320,7 @@ entry:
         sup.arm_kill(TierKill::panic(Tier::Translated));
         // fault + quarantine
         let run = sup.run("main", &[]).expect("degrades");
-        assert_eq!(run.tier, Tier::Traced);
+        assert_eq!(run.tier, Tier::FastInterp);
         assert!(sup.is_quarantined("main", Tier::Translated));
         // the "bug" goes away (e.g. transient storage corruption healed)
         sup.clear_kills();
@@ -1328,7 +1328,7 @@ entry:
         // two more are needed before the probe is due
         for _ in 0..2 {
             let r = sup.run("main", &[]).expect("runs");
-            assert_eq!(r.tier, Tier::Traced, "still quarantined, no probe yet");
+            assert_eq!(r.tier, Tier::FastInterp, "still quarantined, no probe yet");
         }
         // three successes banked: this run re-attempts translated,
         // succeeds, and restores it
@@ -1361,7 +1361,7 @@ entry:
         let before = sup.incident_log().total_recorded();
         // the kill stays armed: the probe must fail
         let r = sup.run("main", &[]).expect("probe fails, ladder degrades");
-        assert_eq!(r.tier, Tier::Traced);
+        assert_eq!(r.tier, Tier::FastInterp);
         assert!(sup.is_quarantined("main", Tier::Translated), "re-quarantined");
         let log = sup.incident_log();
         assert_eq!(log.total_recorded(), before + 1, "the failed probe is logged");
@@ -1387,6 +1387,6 @@ entry:
         assert!(text.contains("translated"), "{text}");
         assert!(text.contains("panic"), "{text}");
         let line = sup.incident_log().incidents()[0].to_string();
-        assert!(line.contains("fell back to traced"), "{line}");
+        assert!(line.contains("fell back to fast-interp"), "{line}");
     }
 }

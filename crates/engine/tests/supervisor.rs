@@ -1,4 +1,4 @@
-//! Degradation coverage for the tiered execution supervisor (ISSUE 5).
+//! Degradation coverage for the tiered execution supervisor.
 //!
 //! Every scenario here injects a deterministic fault — a panic in a
 //! fast tier, a runaway callee against the watchdog, a silently wrong
@@ -64,15 +64,14 @@ fn interp_value(entry: &str) -> u64 {
     Interpreter::new(&module()).run(entry, &[]).expect("interp runs")
 }
 
-/// A panic injected mid-execution in every fast tier (translated,
-/// traced, pre-decoded) degrades to the structural interpreter, with
-/// one incident and one quarantine per killed tier.
+/// A panic injected in every fast tier (translated, pre-decoded)
+/// degrades to the structural interpreter, with one incident and one
+/// quarantine per killed tier.
 #[test]
 fn killed_fast_tiers_degrade_to_structural_interpreter() {
     let expected = interp_value("main");
     let mut sup = Supervisor::new(module(), TargetIsa::X86);
     sup.arm_kill(TierKill::panic(Tier::Translated));
-    sup.arm_kill(TierKill::panic(Tier::Traced));
     sup.arm_kill(TierKill::panic(Tier::FastInterp));
     let run = sup.run("main", &[]).expect("degrades to interp");
     assert_eq!(run.outcome, TierOutcome::Value(expected));
@@ -80,10 +79,9 @@ fn killed_fast_tiers_degrade_to_structural_interpreter() {
     assert!(run.degraded);
 
     let log = sup.incident_log();
-    assert_eq!(log.len(), 3, "one incident per killed tier: {}", log.summary());
+    assert_eq!(log.len(), 2, "one incident per killed tier: {}", log.summary());
     assert_eq!(log.incidents()[0].tier, Tier::Translated);
-    assert_eq!(log.incidents()[1].tier, Tier::Traced);
-    assert_eq!(log.incidents()[2].tier, Tier::FastInterp);
+    assert_eq!(log.incidents()[1].tier, Tier::FastInterp);
     for incident in log.incidents() {
         assert!(matches!(incident.cause, IncidentCause::Panic(_)));
         assert!(incident.injected, "kill-driven incidents are marked injected");
@@ -92,15 +90,10 @@ fn killed_fast_tiers_degrade_to_structural_interpreter() {
     }
     assert_eq!(
         log.incidents()[0].recovery,
-        RecoveryAction::FellBack(Tier::Traced)
-    );
-    assert_eq!(
-        log.incidents()[1].recovery,
         RecoveryAction::FellBack(Tier::FastInterp)
     );
-    assert_eq!(log.incidents()[2].recovery, RecoveryAction::FellBack(Tier::Interp));
+    assert_eq!(log.incidents()[1].recovery, RecoveryAction::FellBack(Tier::Interp));
     assert!(sup.is_quarantined("main", Tier::Translated));
-    assert!(sup.is_quarantined("main", Tier::Traced));
     assert!(sup.is_quarantined("main", Tier::FastInterp));
 
     // a second run skips the quarantined tiers silently: same answer,
@@ -108,32 +101,61 @@ fn killed_fast_tiers_degrade_to_structural_interpreter() {
     let run2 = sup.run("main", &[]).expect("still runs");
     assert_eq!(run2.outcome, TierOutcome::Value(expected));
     assert_eq!(run2.tier, Tier::Interp);
-    assert_eq!(sup.incident_log().len(), 3, "no repeat incidents");
+    assert_eq!(sup.incident_log().len(), 2, "no repeat incidents");
     let counters = sup.tier_counters();
+    assert_eq!(counters.len(), Tier::LADDER.len());
     assert_eq!(counters[Tier::Translated.index()].skipped_quarantined, 1);
-    assert_eq!(counters[Tier::Traced.index()].skipped_quarantined, 1);
     assert_eq!(counters[Tier::FastInterp.index()].skipped_quarantined, 1);
     assert_eq!(counters[Tier::Interp.index()].served, 2);
 }
 
-/// The panic in the predecoded tier unwinds mid-dispatch (after at
-/// least one executed instruction), not at tier entry.
+/// The one kill site: for each proper prefix of the ladder, with and
+/// without a module image attached, a panic kill fires in every killed
+/// rung at the same point (after its executor is built, before it
+/// runs), and the next rung serves the structural interpreter's answer.
 #[test]
-fn fast_interp_kill_fires_mid_execution() {
-    let mut sup = Supervisor::new(module(), TargetIsa::X86);
-    sup.arm_kill(TierKill::panic(Tier::Translated));
-    sup.arm_kill(TierKill::panic(Tier::Traced));
-    sup.arm_kill(TierKill::panic(Tier::FastInterp));
-    sup.run("main", &[]).expect("degrades");
-    let fast = &sup.incident_log().incidents()[2];
-    match &fast.cause {
-        IncidentCause::Panic(msg) => {
-            assert!(
-                msg.contains("injected fast-interpreter fault"),
-                "panic should come from the armed mid-dispatch hook, got: {msg}"
-            );
+fn killing_each_ladder_prefix_falls_back_to_the_next_rung() {
+    use llva_engine::{ExecutionManager, LlvaImage};
+    use std::sync::Arc;
+
+    let expected = interp_value("main");
+    let mut builder = ExecutionManager::new(module(), TargetIsa::X86);
+    builder.translate_all().expect("translates");
+    let image = Arc::new(LlvaImage::parse(builder.build_image(true)).expect("parses"));
+    for with_image in [false, true] {
+        for depth in 1..Tier::LADDER.len() {
+            let (killed, rest) = Tier::LADDER.split_at(depth);
+            let what = format!("killed {killed:?}, image {with_image}");
+            let mut sup = if with_image {
+                let mut sup =
+                    Supervisor::new(image.decode_module().expect("decodes"), TargetIsa::X86);
+                assert!(sup.set_image(image.clone()), "{what}: image matches");
+                sup
+            } else {
+                Supervisor::new(module(), TargetIsa::X86)
+            };
+            for &tier in killed {
+                sup.arm_kill(TierKill::panic(tier));
+            }
+            let run = sup.run("main", &[]).expect("degrades");
+            assert_eq!(run.outcome, TierOutcome::Value(expected), "{what}");
+            assert_eq!(run.tier, rest[0], "{what}: the next rung answers");
+            let log = sup.incident_log();
+            assert_eq!(log.len(), depth, "{what}: {}", log.summary());
+            for (incident, (&tier, &next)) in
+                log.incidents().iter().zip(killed.iter().zip(&Tier::LADDER[1..]))
+            {
+                assert_eq!(incident.tier, tier, "{what}");
+                assert!(incident.injected, "{what}");
+                assert_eq!(
+                    incident.cause,
+                    IncidentCause::Panic(format!("injected tier kill: {tier}")),
+                    "{what}"
+                );
+                assert_eq!(incident.recovery, RecoveryAction::FellBack(next), "{what}");
+                assert!(sup.is_quarantined("main", tier), "{what}");
+            }
         }
-        other => panic!("expected a panic cause, got {other:?}"),
     }
 }
 
@@ -151,13 +173,12 @@ fn watchdog_expiry_in_callee_degrades_without_changing_the_answer() {
     assert_eq!(run.tier, Tier::Interp);
     assert!(run.degraded);
     let log = sup.incident_log();
-    assert_eq!(log.len(), 3, "all fast tiers expired: {}", log.summary());
+    assert_eq!(log.len(), 2, "all fast tiers expired: {}", log.summary());
     for incident in log.incidents() {
         assert_eq!(incident.cause, IncidentCause::Watchdog { budget: 10_000 });
         assert!(!incident.injected, "a genuine hang is not an injected kill");
     }
     assert!(sup.is_quarantined("slow_main", Tier::Translated));
-    assert!(sup.is_quarantined("slow_main", Tier::Traced));
     assert!(sup.is_quarantined("slow_main", Tier::FastInterp));
     // the quarantine is keyed per function: `main` is unaffected
     assert!(!sup.is_quarantined("main", Tier::Translated));
@@ -177,7 +198,7 @@ fn divergence_under_cross_check_quarantines_the_lying_tier() {
     sup.arm_kill(TierKill::wrong_value(Tier::Translated));
     let run = sup.run("main", &[]).expect("degrades");
     assert_eq!(run.outcome, TierOutcome::Value(expected), "wrong answer never served");
-    assert_eq!(run.tier, Tier::Traced);
+    assert_eq!(run.tier, Tier::FastInterp);
     let log = sup.incident_log();
     assert_eq!(log.len(), 1);
     match &log.incidents()[0].cause {
@@ -198,7 +219,7 @@ fn divergence_under_cross_check_quarantines_the_lying_tier() {
     assert_eq!(lied.outcome, TierOutcome::Value(expected ^ 0xBAD_F00D));
 }
 
-/// All four tiers killed: the ladder runs dry with the documented
+/// All three tiers killed: the ladder runs dry with the documented
 /// error shape, and the log still explains every step.
 #[test]
 fn all_tiers_exhausted_error_shape() {
@@ -210,7 +231,7 @@ fn all_tiers_exhausted_error_shape() {
     match &err {
         SupervisorError::TiersExhausted { function, incidents } => {
             assert_eq!(function, "main");
-            assert_eq!(*incidents, 4);
+            assert_eq!(*incidents, 3);
         }
         other => panic!("expected TiersExhausted, got {other:?}"),
     }
@@ -218,10 +239,10 @@ fn all_tiers_exhausted_error_shape() {
     assert!(rendered.contains("all execution tiers exhausted"), "{rendered}");
     assert!(rendered.contains("%main"), "{rendered}");
     let log = sup.incident_log();
-    assert_eq!(log.len(), 4);
-    assert_eq!(log.incidents()[3].recovery, RecoveryAction::Exhausted);
+    assert_eq!(log.len(), 3);
+    assert_eq!(log.incidents()[2].recovery, RecoveryAction::Exhausted);
     // the value-level API agrees
-    assert!(sup.quarantined().len() == 4);
+    assert!(sup.quarantined().len() == 3);
 }
 
 /// The incident log is deterministic: the same kills over the same
@@ -234,7 +255,6 @@ fn incident_log_is_deterministic_across_replays() {
         let mut sup = Supervisor::new(module(), TargetIsa::X86);
         sup.set_cross_check(true);
         sup.arm_kill(TierKill::panic(Tier::Translated));
-        sup.arm_kill(TierKill::panic(Tier::Traced));
         sup.arm_kill(TierKill { tier: Tier::FastInterp, mode: KillMode::Panic });
         sup.run("main", &[]).expect("degrades");
         sup.run("main", &[]).expect("degrades");
@@ -243,7 +263,7 @@ fn incident_log_is_deterministic_across_replays() {
     let first = run_once();
     let second = run_once();
     assert_eq!(first, second, "replaying the scenario must replay the log");
-    assert_eq!(first.len(), 3);
+    assert_eq!(first.len(), 2);
     // seq numbers are the log's only clock and they are ordinal
     for (i, incident) in first.incidents().iter().enumerate() {
         assert_eq!(incident.seq as usize, i);

@@ -10,7 +10,7 @@
 //! Selfcheck mode (`--selfcheck`): an in-process smoke test — load the
 //! `ptrdist-anagram` Table 2 workload into one tenant per execution
 //! tier, force each tenant to answer from its target tier by killing
-//! every faster tier, assert all four answers match the structural
+//! every faster tier, assert all three answers match the structural
 //! interpreter, and print the metrics text. Exits non-zero on any
 //! mismatch; CI runs this as the fast serve gate.
 

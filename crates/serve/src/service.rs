@@ -220,7 +220,7 @@ pub struct ModuleSnapshot {
     /// Quarantined `(function, tier)` pairs right now.
     pub quarantined: Vec<(String, Tier)>,
     /// Per-tier counters, indexed by [`Tier::index`] (lifetime).
-    pub tier_counters: [TierCounters; 4],
+    pub tier_counters: [TierCounters; Tier::LADDER.len()],
     /// Aggregated translation/cache statistics (lifetime: every
     /// warmup, including respawn rebuilds, plus every call).
     pub translation: TranslationStats,
@@ -427,7 +427,7 @@ pub fn executor_kill_from_env() -> Vec<ExecutorKill> {
 struct CarriedStats {
     incidents_total: u64,
     incidents_dropped: u64,
-    tiers: [TierCounters; 4],
+    tiers: [TierCounters; Tier::LADDER.len()],
     translation: TranslationStats,
 }
 

@@ -220,7 +220,6 @@ fn poisoned_tenant_does_not_contaminate_neighbours() {
     // kill every fast tier for the victim, permanently
     let kills = vec![
         TierKill::panic(Tier::Translated),
-        TierKill::panic(Tier::Traced),
         TierKill::panic(Tier::FastInterp),
     ];
     svc.arm_kills("victim", "m", kills, 0).unwrap();
@@ -238,8 +237,8 @@ fn poisoned_tenant_does_not_contaminate_neighbours() {
     // quarantine state is per-tenant even though the module (and its
     // shared translation cache) is identical
     let victim_snap = svc.tenant_snapshot("victim").unwrap();
-    assert_eq!(victim_snap.modules[0].quarantined.len(), 3);
-    assert_eq!(victim_snap.modules[0].incidents_total, 3);
+    assert_eq!(victim_snap.modules[0].quarantined.len(), 2);
+    assert_eq!(victim_snap.modules[0].incidents_total, 2);
     let healthy_snap = svc.tenant_snapshot("healthy").unwrap();
     assert!(healthy_snap.modules[0].quarantined.is_empty());
     assert_eq!(healthy_snap.modules[0].incidents_total, 0);
@@ -250,7 +249,7 @@ fn poisoned_tenant_does_not_contaminate_neighbours() {
     );
 
     let metrics = svc.metrics_text();
-    assert!(metrics.contains(r#"llva_serve_quarantined{tenant="victim",module="m"} 3"#));
+    assert!(metrics.contains(r#"llva_serve_quarantined{tenant="victim",module="m"} 2"#));
     assert!(metrics.contains(r#"llva_serve_quarantined{tenant="healthy",module="m"} 0"#));
 }
 
@@ -304,12 +303,12 @@ fn quarantine_probe_restores_tier_through_service() {
     svc.arm_kills("acme", "m", vec![TierKill::panic(Tier::Translated)], 1)
         .unwrap();
     let first = svc.call("acme", "m", "cheap", &[]).unwrap();
-    assert_eq!(first.tier, Tier::Traced);
+    assert_eq!(first.tier, Tier::FastInterp);
     assert!(first.degraded);
 
     // the degraded call banked success #1; this banks #2
     let second = svc.call("acme", "m", "cheap", &[]).unwrap();
-    assert_eq!(second.tier, Tier::Traced);
+    assert_eq!(second.tier, Tier::FastInterp);
 
     // threshold reached: this call probes the quarantined pair, the
     // probe passes (the kill was transient), and the tier serves again
@@ -336,7 +335,7 @@ fn quarantine_probe_restores_tier_through_service() {
 #[test]
 fn incident_ring_buffer_is_bounded_with_drop_counter() {
     let config = ServeConfig {
-        incident_capacity: 2,
+        incident_capacity: 1,
         ..ServeConfig::default()
     };
     let svc = service(config);
@@ -344,22 +343,21 @@ fn incident_ring_buffer_is_bounded_with_drop_counter() {
     svc.load_module("acme", "m", &module_text()).unwrap();
     let kills = vec![
         TierKill::panic(Tier::Translated),
-        TierKill::panic(Tier::Traced),
         TierKill::panic(Tier::FastInterp),
     ];
     svc.arm_kills("acme", "m", kills, 0).unwrap();
     svc.call("acme", "m", "cheap", &[]).unwrap();
 
-    // three incidents hit a capacity-2 ring: one dropped, none lost
+    // two incidents hit a capacity-1 ring: one dropped, none lost
     // from the ledger
     let snapshot = svc.tenant_snapshot("acme").unwrap();
-    assert_eq!(snapshot.modules[0].incidents_len, 2);
+    assert_eq!(snapshot.modules[0].incidents_len, 1);
     assert_eq!(snapshot.modules[0].incidents_dropped, 1);
-    assert_eq!(snapshot.modules[0].incidents_total, 3);
+    assert_eq!(snapshot.modules[0].incidents_total, 2);
     let metrics = svc.metrics_text();
     assert!(metrics
         .contains(r#"llva_serve_incidents_dropped_total{tenant="acme",module="m"} 1"#));
-    assert!(metrics.contains(r#"llva_serve_incidents_total{tenant="acme",module="m"} 3"#));
+    assert!(metrics.contains(r#"llva_serve_incidents_total{tenant="acme",module="m"} 2"#));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Multi-tenant fault-isolation soak — the acceptance proof for the
-//! serving layer (ISSUE 7).
+//! serving layer.
 //!
 //! One victim tenant and two healthy tenants share a service whose
 //! cache shards run `FaultyStorage` chaos. The victim's fast tiers are
@@ -52,7 +52,6 @@ fn kills() -> Vec<TierKill> {
     }
     vec![
         TierKill::panic(Tier::Translated),
-        TierKill::panic(Tier::Traced),
         TierKill::panic(Tier::FastInterp),
     ]
 }

@@ -8,8 +8,7 @@
 //! `riscv`; default `x86` — the CI matrix sweeps the others so every
 //! back end sits under the same degradation ladder); when unset,
 //! the test sweeps every meaningful degradation depth itself: no kill,
-//! `translated`, `translated,traced`, and
-//! `translated,traced,fast-interp`. Kills are cumulative ladder
+//! `translated`, and `translated,fast-interp`. Kills are cumulative ladder
 //! prefixes — killing only a lower tier would be masked by the healthy
 //! tier above it answering first.
 //!
@@ -49,11 +48,6 @@ fn kill_sets() -> Vec<Vec<TierKill>> {
         vec![TierKill::panic(Tier::Translated)],
         vec![
             TierKill::panic(Tier::Translated),
-            TierKill::panic(Tier::Traced),
-        ],
-        vec![
-            TierKill::panic(Tier::Translated),
-            TierKill::panic(Tier::Traced),
             TierKill::panic(Tier::FastInterp),
         ],
     ]
